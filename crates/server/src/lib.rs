@@ -25,8 +25,9 @@
 //! (binary snapshot + write-ahead log), node-local edit batches re-validate
 //! in time proportional to the touched region, and per-document answer
 //! caches serve repeated queries without re-running the chase. The store
-//! ops (`PutDoc`/`GetDoc`/`EditDoc`/`DeleteDoc` and the `*Stored` query
-//! variants) answer byte-for-byte like their ship-the-document twins.
+//! ops are `PutDoc`/`GetDoc`/`EditDoc`/`DeleteDoc` and the `*Stored` query
+//! variants; each `*Stored` variant runs its base op's one handler over the
+//! stored document, so it answers byte-for-byte like shipping that document.
 //!
 //! The design (see [`server`] for details): a **single-threaded
 //! non-blocking event loop** on raw `epoll` ([`sys`]) owns every socket and

@@ -30,6 +30,11 @@
 //!   [`ServerConfig::chunk_bytes`] body bytes each, so a huge solution
 //!   neither pins its full size in worker memory nor head-of-line-blocks
 //!   other connections' flushes.
+//! * Each of the four **exchange ops** has one handler over a document
+//!   source, shipped documents or a stored one, and every per-document
+//!   result ([`DocAnswer`]) is written by `wire`'s row writers, the ones
+//!   [`wire::encode_response`] uses. A `*Stored` op therefore answers with
+//!   its base op's bytes by construction, cached or not.
 //! * The **wake pipe** (a non-blocking Unix socketpair) lets workers and
 //!   [`ServerControl::shutdown`] interrupt `epoll_wait`.
 //!
@@ -62,6 +67,7 @@ use crate::wire::{
     WireDoc, WireError,
 };
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
@@ -71,7 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use xdx_core::cache::CacheKey;
-use xdx_core::compiled::ExchangeScratch;
+use xdx_core::compiled::{CompiledSetting, ExchangeScratch};
 use xdx_core::engine::BatchEngine;
 use xdx_core::settext::setting_to_text;
 use xdx_core::setting::DataExchangeSetting;
@@ -79,30 +85,54 @@ use xdx_core::solution::SolutionError;
 use xdx_obs::{Histogram, HistogramSnapshot, MetricRegistry, Trace, Unit};
 use xdx_patterns::parser::parse_query;
 use xdx_patterns::plan::QueryPlan;
+use xdx_patterns::UnionQuery;
 use xdx_store::{decode_edits_exact, DocKey, DocStore, StoreConfig, StoreError};
 use xdx_xmltree::binary::ByteSink;
-use xdx_xmltree::{tree_to_text, XmlTree};
+use xdx_xmltree::XmlTree;
 
-/// What the per-document result cache holds: the *semantic* result of each
-/// op, so a hit streams through exactly the serialization path a fresh
-/// computation would — cached and uncached responses are byte-for-byte
-/// identical under every codec.
+/// One document's result of an exchange op, for shipped and stored
+/// documents alike; it is also what the per-document answer cache holds.
+/// [`DocAnswer::put_row`] is the only way a result reaches the wire, so a
+/// cache hit, a fresh computation and a shipped document all stream the
+/// same bytes under every codec.
 #[derive(Debug, Clone)]
-enum CachedAnswer {
-    /// `CheckConsistencyStored` verdict.
+enum DocAnswer {
+    /// Consistency verdict.
     Consistency(bool),
-    /// `CanonicalSolutionStored` result.
-    Solution(Result<XmlTree, SolutionError>),
-    /// `CertainAnswersStored` tuples (already in deterministic set order).
-    Answers(Result<Vec<Vec<String>>, SolutionError>),
-    /// `CertainAnswersBooleanStored` result.
-    Boolean(Result<bool, SolutionError>),
+    /// Canonical solution, or the chase's error.
+    Solution(Result<XmlTree, WireError>),
+    /// Certain-answer tuples (already in deterministic set order).
+    Answers(Result<Vec<Vec<String>>, WireError>),
+    /// Boolean certain answer.
+    Boolean(Result<bool, WireError>),
+}
+
+impl DocAnswer {
+    fn solution(result: Result<XmlTree, SolutionError>) -> DocAnswer {
+        DocAnswer::Solution(result.map_err(|e| WireError::of_solution_error(&e)))
+    }
+
+    /// Stream this result as one response row through `wire`'s writers.
+    fn put_row<S: ByteSink>(&self, out: &mut S, codec: Codec) {
+        match self {
+            DocAnswer::Consistency(b) => wire::put_bool(out, *b),
+            DocAnswer::Solution(r) => {
+                wire::put_doc_result(out, r.as_ref(), |out, t| wire::put_tree(out, t, codec))
+            }
+            DocAnswer::Answers(r) => {
+                wire::put_doc_result(out, r.as_ref(), |out, t| wire::put_tuples(out, t))
+            }
+            DocAnswer::Boolean(r) => {
+                wire::put_doc_result(out, r.as_ref(), |out, &b| wire::put_bool(out, b))
+            }
+        }
+    }
 }
 
 /// The server's resident store: documents plus version-tagged cached
 /// answers, serialized behind one mutex (ops hold it only for O(doc)
 /// copies and bookkeeping — the chase itself runs unlocked).
-type ServerStore = Mutex<DocStore<CachedAnswer>>;
+type ServerStore = Mutex<DocStore<DocAnswer>>;
 
 /// Server tuning knobs; the defaults suit tests and small deployments.
 #[derive(Debug, Clone)]
@@ -1149,16 +1179,34 @@ fn worker_loop(
         // Taking the writer stamps the queue phase: everything between
         // frame decode and this pop — enqueue, wake, contention — was
         // queue wait.
-        let mut writer = ResponseWriter::new(shared, control, &mut job);
-        let setting_id = job.frame.setting_id;
-        match job.frame.body {
+        let mut w = ResponseWriter::new(shared, control, &mut job);
+        scratch.reset_counters();
+        let mut cx = Ctx {
+            registry,
+            store,
+            stats,
+            wal_checkpoint_bytes,
+            setting: job.frame.setting_id,
+            codec: job.codec,
+            scratch: &mut scratch,
+            w: &mut w,
+        };
+        let handled = match job.frame.body {
+            // `Ping` and `Hello` are answered inline by the event loop; a
+            // job carrying one would be a dispatch bug, but answer it anyway.
+            RequestBody::Ping => Ok(Some(ResponseBody::Pong)),
+            RequestBody::Hello { features } => Ok(Some(ResponseBody::HelloOk {
+                features: features & wire::SUPPORTED_FEATURES,
+            })),
             // Registry ops run here so compilation (potentially long)
             // stays off the event loop, like every other expensive path.
-            body @ (RequestBody::PutSetting { .. }
-            | RequestBody::ListSettings
-            | RequestBody::EvictSetting { .. }) => {
-                registry_op(registry, store, body, writer);
-            }
+            RequestBody::PutSetting { bind_id, text } => cx.put_setting(bind_id, &text),
+            RequestBody::ListSettings => Ok(Some(ResponseBody::SettingList {
+                entries: registry.list(),
+            })),
+            RequestBody::EvictSetting { bind_id } => registry
+                .evict(bind_id)
+                .map(|dropped| Some(ResponseBody::EvictSettingOk { dropped })),
             // `Stats` aggregates server-wide counters — it addresses no
             // setting, so it never resolves (or compiles) an engine.
             RequestBody::Stats => {
@@ -1167,108 +1215,388 @@ fn worker_loop(
                 } else {
                     Vec::new()
                 };
-                writer.whole(ResponseBody::StatsOk {
+                Ok(Some(ResponseBody::StatsOk {
                     counters: collect_stats(stats, registry, store),
                     histograms,
-                });
+                }))
             }
-            body => {
-                // Resolve the addressed setting's engine: an LRU/cache
-                // hit is an `Arc` clone; a cold binding recompiles from
-                // its retained text right here, on this worker.
-                let engine = match registry.resolve(setting_id) {
-                    Ok(engine) => engine,
-                    Err(e) => {
-                        writer.whole(ResponseBody::Error(e));
-                        continue;
-                    }
-                };
-                // The resolve phase covers the registry lookup including
-                // a recompile-on-miss (potentially milliseconds).
-                writer.step(PHASE_RESOLVE);
-                scratch.reset_counters();
-                respond(
-                    &engine,
-                    store,
-                    stats,
-                    wal_checkpoint_bytes,
-                    &mut scratch,
-                    setting_id,
-                    body,
-                    job.codec,
-                    writer,
-                );
-                // Chase work the request just did, as per-request
-                // distributions (how many pops/repairs a request costs),
-                // plus the assignment-store highwater. Requests that never
-                // chased (store mutations, gets) record nothing.
-                let c = scratch.counters;
-                if c.chase_steps > 0 {
-                    metrics
-                        .global
-                        .histogram(HIST_CHASE_STEPS)
-                        .record(c.chase_steps);
-                    metrics
-                        .global
-                        .histogram(HIST_CHASE_REPAIRS)
-                        .record(c.chase_repairs);
-                }
-                stats
-                    .assign_highwater
-                    .fetch_max(scratch.assign_highwater() as u64, Ordering::Relaxed);
+            // Each exchange op has one handler; a `*Stored` op is its base
+            // op over a stored document.
+            RequestBody::CheckConsistency { docs } => {
+                cx.exchange(Exchange::Consistency, Source::Inline(docs))
             }
+            RequestBody::CheckConsistencyStored { doc_id } => {
+                cx.exchange(Exchange::Consistency, Source::Stored(doc_id))
+            }
+            RequestBody::CanonicalSolution { docs } => {
+                cx.exchange(Exchange::Solution, Source::Inline(docs))
+            }
+            RequestBody::CanonicalSolutionStored { doc_id } => {
+                cx.exchange(Exchange::Solution, Source::Stored(doc_id))
+            }
+            RequestBody::CertainAnswers { query, docs } => {
+                cx.exchange(Exchange::Answers(query), Source::Inline(docs))
+            }
+            RequestBody::CertainAnswersStored { query, doc_id } => {
+                cx.exchange(Exchange::Answers(query), Source::Stored(doc_id))
+            }
+            RequestBody::CertainAnswersBoolean { query, docs } => {
+                cx.exchange(Exchange::Boolean(query), Source::Inline(docs))
+            }
+            RequestBody::CertainAnswersBooleanStored { query, doc_id } => {
+                cx.exchange(Exchange::Boolean(query), Source::Stored(doc_id))
+            }
+            RequestBody::PutDoc { doc_id, doc } => cx.put_doc(doc_id, &doc),
+            RequestBody::GetDoc { doc_id } => cx.get_doc(doc_id),
+            RequestBody::EditDoc {
+                doc_id,
+                base_version,
+                edits,
+            } => cx.edit_doc(doc_id, base_version, &edits),
+            RequestBody::DeleteDoc { doc_id } => cx.delete_doc(doc_id),
+        };
+        match handled {
+            Ok(Some(body)) => w.whole(body),
+            Ok(None) => w.finish(),
+            Err(e) => w.whole(ResponseBody::Error(e)),
+        }
+        // Chase work the request just did, as per-request distributions
+        // (how many pops/repairs a request costs), plus the
+        // assignment-store highwater. Requests that never chased (store
+        // mutations, gets, registry ops) record nothing.
+        let c = scratch.counters;
+        if c.chase_steps > 0 {
+            metrics
+                .global
+                .histogram(HIST_CHASE_STEPS)
+                .record(c.chase_steps);
+            metrics
+                .global
+                .histogram(HIST_CHASE_REPAIRS)
+                .record(c.chase_repairs);
+        }
+        stats
+            .assign_highwater
+            .fetch_max(scratch.assign_highwater() as u64, Ordering::Relaxed);
+    }
+}
+
+/// A handler's outcome: `Ok(Some(body))` is a whole response, `Ok(None)` a
+/// body already streamed through the [`ResponseWriter`], and `Err` fails
+/// the whole request. Handlers validate everything (documents, queries,
+/// the addressed setting) before streaming their first body byte, so a
+/// logical response is either one whole frame or a complete OK stream —
+/// never a half-written success.
+type Handled = Result<Option<ResponseBody>, WireError>;
+
+/// The paper's four exchange services. `Q` is the query of the two
+/// certain-answer ops as a handler refines it: text, parsed, planned.
+enum Exchange<Q> {
+    /// Is the source document consistent: conforming, with a solution?
+    Consistency,
+    /// The Section 6.1 canonical solution.
+    Solution,
+    /// Section 7 certain answers of a conjunctive tree query.
+    Answers(Q),
+    /// Section 7 Boolean certain answer.
+    Boolean(Q),
+}
+
+/// Where an exchange op's documents come from.
+enum Source {
+    /// Shipped in the request, in the connection's codec.
+    Inline(Vec<WireDoc>),
+    /// One resident document of the addressed setting.
+    Stored(u64),
+}
+
+impl<Q> Exchange<Q> {
+    /// The op code of the response, which both sources share.
+    fn op(&self) -> OpCode {
+        match self {
+            Exchange::Consistency => OpCode::CheckConsistency,
+            Exchange::Solution => OpCode::CanonicalSolution,
+            Exchange::Answers(_) => OpCode::CertainAnswers,
+            Exchange::Boolean(_) => OpCode::CertainAnswersBoolean,
+        }
+    }
+
+    /// The same op with its query (if it has one) mapped through `f`.
+    fn try_map<R, E>(&self, f: impl FnOnce(&Q) -> Result<R, E>) -> Result<Exchange<R>, E> {
+        Ok(match self {
+            Exchange::Consistency => Exchange::Consistency,
+            Exchange::Solution => Exchange::Solution,
+            Exchange::Answers(q) => Exchange::Answers(f(q)?),
+            Exchange::Boolean(q) => Exchange::Boolean(f(q)?),
+        })
+    }
+}
+
+impl Exchange<String> {
+    /// Parse the query, failing with its `Query*` error code.
+    fn parse(&self) -> Result<Exchange<UnionQuery>, WireError> {
+        self.try_map(|q| parse_query(q).map_err(|e| WireError::of_query_error(&e)))
+    }
+
+    /// The answer-cache key: a query's cached answers are keyed by its text.
+    fn cache_key(self) -> CacheKey {
+        match self {
+            Exchange::Consistency => CacheKey::Consistency,
+            Exchange::Solution => CacheKey::CanonicalSolution,
+            Exchange::Answers(q) => CacheKey::CertainAnswers(q),
+            Exchange::Boolean(q) => CacheKey::CertainBoolean(q),
         }
     }
 }
 
-/// Answer one registry op (v3). A rebind that changes a setting's text
-/// invalidates that setting's derived store state — cached answers and
-/// validation baselines — while stored documents and versions survive
-/// untouched (they belong to the setting id, not the compiled artifact).
-fn registry_op(
-    registry: &Registry,
-    store: Option<&ServerStore>,
-    body: RequestBody,
-    w: ResponseWriter<'_>,
-) {
-    match body {
-        RequestBody::PutSetting { bind_id, text } => match registry.put(bind_id, &text) {
-            Ok(outcome) => {
-                if outcome.rebound {
-                    if let Some(store) = store {
-                        store
-                            .lock()
-                            .expect("store poisoned")
-                            .invalidate_setting(bind_id);
-                    }
-                }
-                w.whole(ResponseBody::PutSettingOk {
-                    content_hash: outcome.content_hash,
-                    reused: outcome.reused,
-                });
-            }
-            Err(e) => w.whole(ResponseBody::Error(e)),
-        },
-        RequestBody::ListSettings => w.whole(ResponseBody::SettingList {
-            entries: registry.list(),
-        }),
-        RequestBody::EvictSetting { bind_id } => match registry.evict(bind_id) {
-            Ok(dropped) => w.whole(ResponseBody::EvictSettingOk { dropped }),
-            Err(e) => w.whole(ResponseBody::Error(e)),
-        },
-        _ => unreachable!("caller matched a registry op"),
+impl Exchange<UnionQuery> {
+    fn plan(&self, compiled: &CompiledSetting<'_>) -> Exchange<QueryPlan> {
+        let Ok(planned) =
+            self.try_map(|q| Ok::<_, Infallible>(QueryPlan::new(q, compiled.target_dtd())));
+        planned
     }
 }
 
-/// Opportunistic WAL compaction, called by the mutating worker while it
-/// still holds the store lock: once the WAL outgrows the configured
-/// threshold, checkpoint (snapshot + WAL reset) so a long-running server's
-/// log — and the replay the next open pays — stays bounded. Best-effort: a
-/// failed checkpoint leaves the WAL (and thus durability) intact, and the
-/// next mutation simply tries again.
-fn maybe_checkpoint(store: &mut DocStore<CachedAnswer>, wal_checkpoint_bytes: u64) {
-    if store.wal_len() >= wal_checkpoint_bytes {
-        let _ = store.checkpoint();
+impl Exchange<QueryPlan> {
+    /// Run the op on one document with this worker's scratch: exactly the
+    /// computation [`BatchEngine`]'s `*_batch` methods run, so every
+    /// response row is what a local batch call would produce.
+    fn answer(
+        &self,
+        compiled: &CompiledSetting<'_>,
+        tree: &XmlTree,
+        scratch: &mut ExchangeScratch,
+    ) -> DocAnswer {
+        match self {
+            Exchange::Consistency => {
+                DocAnswer::Consistency(compiled.check_instance_consistency_with(tree, scratch))
+            }
+            Exchange::Solution => {
+                DocAnswer::solution(compiled.canonical_solution_with(tree, scratch))
+            }
+            Exchange::Answers(plan) => DocAnswer::Answers(
+                compiled
+                    .certain_answers_planned_with(tree, plan, scratch)
+                    .map(|answers| answers.tuples.into_iter().collect())
+                    .map_err(|e| WireError::of_solution_error(&e)),
+            ),
+            Exchange::Boolean(plan) => DocAnswer::Boolean(
+                compiled
+                    .certain_boolean_planned_with(tree, plan, scratch)
+                    .map_err(|e| WireError::of_solution_error(&e)),
+            ),
+        }
+    }
+}
+
+/// What a queued request needs besides its body: the server-wide state the
+/// workers share, the job's setting and codec, this worker's scratch and
+/// the request's response writer.
+struct Ctx<'a, 'w> {
+    registry: &'a Registry,
+    store: Option<&'a ServerStore>,
+    stats: &'a ServerStats,
+    wal_checkpoint_bytes: u64,
+    setting: u64,
+    codec: Codec,
+    scratch: &'a mut ExchangeScratch,
+    w: &'a mut ResponseWriter<'w>,
+}
+
+impl<'a> Ctx<'a, '_> {
+    /// Resolve the addressed setting's engine. Every op but the registry
+    /// ops and `Stats` addresses a bound setting, store ops included. An
+    /// LRU/cache hit is an `Arc` clone; a cold binding recompiles from its
+    /// retained text right here, on this worker, and the resolve phase
+    /// covers that recompile (potentially milliseconds).
+    fn resolve(&mut self) -> Result<Arc<BatchEngine<'static>>, WireError> {
+        let engine = self.registry.resolve(self.setting)?;
+        self.w.step(PHASE_RESOLVE);
+        Ok(engine)
+    }
+
+    fn store(&self) -> Result<&'a ServerStore, WireError> {
+        self.store.ok_or_else(|| {
+            WireError::new(
+                wire::ErrorCode::StoreDisabled,
+                "this server mounts no document store",
+            )
+        })
+    }
+
+    /// Bind a setting (v3). A rebind that changes a setting's text
+    /// invalidates that setting's derived store state — cached answers and
+    /// validation baselines — while stored documents and versions survive
+    /// untouched (they belong to the setting id, not the compiled artifact).
+    fn put_setting(&self, bind_id: u64, text: &str) -> Handled {
+        let outcome = self.registry.put(bind_id, text)?;
+        if outcome.rebound {
+            if let Some(store) = self.store {
+                store
+                    .lock()
+                    .expect("store poisoned")
+                    .invalidate_setting(bind_id);
+            }
+        }
+        Ok(Some(ResponseBody::PutSettingOk {
+            content_hash: outcome.content_hash,
+            reused: outcome.reused,
+        }))
+    }
+
+    /// Answer one exchange op over its document source, streaming one row
+    /// per document. This is the op's single code path: a `*Stored` op
+    /// differs from its base op only in where the document comes from, so
+    /// both answer with the same bytes by construction.
+    fn exchange(&mut self, op: Exchange<String>, source: Source) -> Handled {
+        let engine = self.resolve()?;
+        let compiled = engine.compiled();
+        match source {
+            Source::Inline(docs) => {
+                let parsed = op.parse()?;
+                let trees = parse_docs(&docs)?;
+                self.w.step(PHASE_DECODE);
+                // Plan once per request, not per document.
+                let planned = parsed.plan(compiled);
+                if matches!(planned, Exchange::Answers(_) | Exchange::Boolean(_)) {
+                    self.w.step(PHASE_PLAN);
+                }
+                wire::put_rows_header(self.w, planned.op(), trees.len());
+                // Fan out on the engine's *configured* parallelism alone.
+                // Consulting live `available_parallelism()` here made the
+                // branch untestable (a 1-core CI box could never exercise
+                // the reorder buffer below) and second-guessed an explicit
+                // `workers` configuration; whoever builds the engine owns
+                // the single-core-pool-is-a-loss call.
+                if matches!(planned, Exchange::Solution)
+                    && trees.len() > 1
+                    && engine.configured_parallelism() > 1
+                {
+                    // Multi-document request: fan the per-document chase out
+                    // across the engine's pool ([`BatchEngine::canonical_solutions_for_each`]),
+                    // exactly what a local batch call runs. Results arrive in
+                    // completion order; the stream must be in document order,
+                    // so out-of-order solutions wait in a reorder buffer and
+                    // each is serialized and dropped as soon as its turn
+                    // comes — peak extra memory is the in-flight skew, not
+                    // the batch.
+                    let mut pending: Vec<Option<DocAnswer>> =
+                        (0..trees.len()).map(|_| None).collect();
+                    let mut cursor = 0usize;
+                    engine.canonical_solutions_for_each(&trees, |i, result| {
+                        pending[i] = Some(DocAnswer::solution(result));
+                        while let Some(slot) = pending.get_mut(cursor) {
+                            let Some(ready) = slot.take() else { break };
+                            ready.put_row(self.w, self.codec);
+                            cursor += 1;
+                        }
+                    });
+                } else {
+                    // Every other op, and a single document or no pool: this
+                    // worker's warm scratch beats spawning compute threads.
+                    for t in &trees {
+                        let answer = planned.answer(compiled, t, self.scratch);
+                        answer.put_row(self.w, self.codec);
+                    }
+                }
+                // Streaming interleaves compute and serialization, so the
+                // exec phase deliberately includes per-document encoding;
+                // the encode phase then covers only the residue after the
+                // last document.
+                self.w.step(PHASE_EXEC);
+            }
+            Source::Stored(doc_id) => {
+                let store = self.store()?;
+                // Parse before the cache lookup so a malformed query fails
+                // identically whether or not an answer is cached.
+                let parsed = op.parse()?;
+                let scratch = &mut *self.scratch;
+                let answer = stored_answer(
+                    store,
+                    self.stats,
+                    self.w,
+                    DocKey::new(self.setting, doc_id),
+                    op.cache_key(),
+                    |tree| parsed.plan(compiled).answer(compiled, tree, scratch),
+                )?;
+                wire::put_rows_header(self.w, parsed.op(), 1);
+                answer.put_row(self.w, self.codec);
+            }
+        }
+        Ok(None)
+    }
+
+    fn put_doc(&mut self, doc_id: u64, doc: &WireDoc) -> Handled {
+        self.resolve()?;
+        let store = self.store()?;
+        let tree = doc.to_tree()?;
+        self.w.step(PHASE_DECODE);
+        let key = DocKey::new(self.setting, doc_id);
+        let version = self.mutate(store, |s| s.put(key, tree))?;
+        Ok(Some(ResponseBody::PutDocOk { version }))
+    }
+
+    fn get_doc(&mut self, doc_id: u64) -> Handled {
+        self.resolve()?;
+        let store = self.store()?;
+        // Encode under the lock: the returned frame must be one consistent
+        // (version, bytes) pair even if an edit races in.
+        let result = store
+            .lock()
+            .expect("store poisoned")
+            .get(DocKey::new(self.setting, doc_id))
+            .map(|(tree, version)| (version, WireDoc::from_tree(tree, self.codec)));
+        self.w.step(PHASE_STORE);
+        let (version, doc) = result.map_err(|e| WireError::of_store_error(&e))?;
+        Ok(Some(ResponseBody::GetDocOk { version, doc }))
+    }
+
+    fn edit_doc(&mut self, doc_id: u64, base_version: u64, edits: &[u8]) -> Handled {
+        self.resolve()?;
+        let store = self.store()?;
+        let batch = decode_edits_exact(edits).map_err(|e| {
+            WireError::new(
+                wire::ErrorCode::BadEdit,
+                format!("malformed edit batch: {e}"),
+            )
+        })?;
+        self.w.step(PHASE_DECODE);
+        let key = DocKey::new(self.setting, doc_id);
+        let receipt = self.mutate(store, |s| s.edit(key, base_version, &batch))?;
+        Ok(Some(ResponseBody::EditDocOk {
+            version: receipt.version,
+        }))
+    }
+
+    fn delete_doc(&mut self, doc_id: u64) -> Handled {
+        self.resolve()?;
+        let store = self.store()?;
+        let key = DocKey::new(self.setting, doc_id);
+        self.mutate(store, |s| s.delete(key))?;
+        Ok(Some(ResponseBody::DeleteDocOk))
+    }
+
+    /// Apply one mutation under the store lock. After a success, compact
+    /// opportunistically while still holding the lock: once the WAL
+    /// outgrows the configured threshold, checkpoint (snapshot + WAL reset)
+    /// so a long-running server's log — and the replay the next open pays —
+    /// stays bounded. Best-effort: a failed checkpoint leaves the WAL (and
+    /// thus durability) intact, and the next mutation simply tries again.
+    fn mutate<T>(
+        &mut self,
+        store: &ServerStore,
+        apply: impl FnOnce(&mut DocStore<DocAnswer>) -> Result<T, StoreError>,
+    ) -> Result<T, WireError> {
+        let result = {
+            let mut s = store.lock().expect("store poisoned");
+            let result = apply(&mut s);
+            if result.is_ok() && s.wal_len() >= self.wal_checkpoint_bytes {
+                let _ = s.checkpoint();
+            }
+            result
+        };
+        self.w.step(PHASE_STORE);
+        result.map_err(|e| WireError::of_store_error(&e))
     }
 }
 
@@ -1365,9 +1693,32 @@ impl<'w> ResponseWriter<'w> {
             self.step(PHASE_ENCODE);
         }
         let bytes = std::mem::take(&mut self.seg);
-        // Only the final segment carries the trace back: the event loop
-        // finalizes it when that segment is fully written to the socket,
-        // so the flush phase spans the whole response, not one chunk.
+        self.push(bytes, last);
+        if !last {
+            self.start_segment();
+        }
+    }
+
+    /// Seal the final segment; the logical response is complete.
+    fn finish(mut self) {
+        self.seal(true);
+    }
+
+    /// Replace the (still body-less) response with one whole pre-encoded
+    /// frame — the path for small responses and request-level errors,
+    /// which are never chunked.
+    fn whole(mut self, body: ResponseBody) {
+        debug_assert_eq!(self.body_len(), 0, "whole() after body bytes were streamed");
+        let bytes = wire::frame(wire::encode_response(&ResponseFrame { id: self.id, body }));
+        self.step(PHASE_ENCODE);
+        self.push(bytes, true);
+    }
+
+    /// Hand one framed segment to the event loop (a [`Done`] push + wake).
+    /// Only the final segment carries the trace back: the event loop
+    /// finalizes it when that segment is fully written to the socket, so
+    /// the flush phase spans the whole response, not one chunk.
+    fn push(&mut self, bytes: Vec<u8>, last: bool) {
         let trace = if last { self.trace.take() } else { None };
         self.shared
             .done
@@ -1382,13 +1733,12 @@ impl<'w> ResponseWriter<'w> {
                 trace,
             });
         self.control.nudge();
-        if !last {
-            self.start_segment();
-        }
     }
+}
 
-    /// Append body bytes, cutting segments at the chunk limit.
-    fn put_bytes(&mut self, mut bytes: &[u8]) {
+/// Appending body bytes cuts segments at the chunk limit.
+impl ByteSink for ResponseWriter<'_> {
+    fn put(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             let room = self.chunk_bytes - self.body_len();
             if room == 0 {
@@ -1399,69 +1749,6 @@ impl<'w> ResponseWriter<'w> {
             self.seg.extend_from_slice(&bytes[..n]);
             bytes = &bytes[n..];
         }
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_bytes(&[v]);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    fn put_string(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("string exceeds u32::MAX bytes"));
-        self.put_bytes(s.as_bytes());
-    }
-
-    fn put_wire_error(&mut self, e: &WireError) {
-        self.put_u16(e.code as u16);
-        self.put_string(&e.message);
-    }
-
-    /// `[status][id][op]` — the prefix of every streamed OK response.
-    fn put_ok_header(&mut self, op: OpCode, doc_count: usize) {
-        self.put_u8(op as u8);
-        self.put_u16(u16::try_from(doc_count).expect("doc count exceeds u16"));
-    }
-
-    /// Seal the final segment; the logical response is complete.
-    fn finish(mut self) {
-        self.seal(true);
-    }
-
-    /// Replace the (still body-less) response with one whole pre-encoded
-    /// frame — the path for request-level errors, which are always small
-    /// and never chunked.
-    fn whole(mut self, body: ResponseBody) {
-        debug_assert_eq!(self.body_len(), 0, "whole() after body bytes were streamed");
-        self.seg = wire::frame(wire::encode_response(&ResponseFrame { id: self.id, body }));
-        self.step(PHASE_ENCODE);
-        let bytes = std::mem::take(&mut self.seg);
-        let trace = self.trace.take();
-        self.shared
-            .done
-            .lock()
-            .expect("completion queue poisoned")
-            .push(Done {
-                slot: self.slot,
-                generation: self.generation,
-                setting_id: self.setting_id,
-                bytes,
-                last: true,
-                trace,
-            });
-        self.control.nudge();
-    }
-}
-
-impl ByteSink for ResponseWriter<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.put_bytes(bytes);
     }
 }
 
@@ -1477,80 +1764,6 @@ fn parse_docs(docs: &[WireDoc]) -> Result<Vec<XmlTree>, WireError> {
         .collect()
 }
 
-/// Stream one per-document solution result into the response body: the
-/// ok/err tag, then the document under the connection's codec. Under
-/// [`Codec::Binary`] the two-pass encoder knows the exact length before a
-/// single byte is written, so the document streams straight into the
-/// segment queue un-buffered.
-fn put_solution(w: &mut ResponseWriter<'_>, codec: Codec, result: Result<XmlTree, SolutionError>) {
-    match result {
-        Ok(solution) => {
-            w.put_u8(0);
-            match codec {
-                Codec::Text => {
-                    let text = tree_to_text(&solution);
-                    w.put_string(&text);
-                }
-                Codec::Binary => {
-                    let enc = xdx_xmltree::binary::Encoder::new(&solution);
-                    let len =
-                        u32::try_from(enc.encoded_len()).expect("document exceeds u32::MAX bytes");
-                    w.put_u32(len);
-                    enc.write_to(w);
-                }
-            }
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
-}
-
-/// Stream one per-document certain-answers result (tuples already in the
-/// deterministic set order). Shared by the ship-the-document and stored-doc
-/// paths so both produce identical bytes.
-fn put_answers(w: &mut ResponseWriter<'_>, result: Result<Vec<Vec<String>>, SolutionError>) {
-    match result {
-        Ok(tuples) => {
-            w.put_u8(0);
-            w.put_u32(u32::try_from(tuples.len()).expect("tuple count exceeds u32"));
-            for tuple in &tuples {
-                w.put_u16(u16::try_from(tuple.len()).expect("arity exceeds u16"));
-                for v in tuple {
-                    w.put_string(v);
-                }
-            }
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
-}
-
-/// Stream one per-document Boolean certain-answer result.
-fn put_boolean(w: &mut ResponseWriter<'_>, result: Result<bool, SolutionError>) {
-    match result {
-        Ok(b) => {
-            w.put_u8(0);
-            w.put_u8(b as u8);
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
-}
-
-/// A store op arrived but the server mounts no store.
-fn store_disabled() -> WireError {
-    WireError::new(
-        wire::ErrorCode::StoreDisabled,
-        "this server mounts no document store",
-    )
-}
-
 /// Answer a stored-document query through the per-document result cache:
 /// under the lock, return a hit computed at the current version, or clone
 /// the tree out; compute *unlocked* (the chase can be long); re-lock and
@@ -1564,8 +1777,8 @@ fn stored_answer(
     w: &mut ResponseWriter<'_>,
     doc: DocKey,
     key: CacheKey,
-    compute: impl FnOnce(&XmlTree) -> CachedAnswer,
-) -> Result<CachedAnswer, WireError> {
+    compute: impl FnOnce(&XmlTree) -> DocAnswer,
+) -> Result<DocAnswer, WireError> {
     let (tree, version) = {
         let mut s = store.lock().expect("store poisoned");
         if let Some(hit) = s.result_cache(doc).and_then(|c| c.get(&key).cloned()) {
@@ -1591,384 +1804,6 @@ fn stored_answer(
     drop(s);
     w.step(PHASE_STORE);
     Ok(value)
-}
-
-/// Compute one request's response and stream it through `writer`. Runs
-/// entirely on a worker thread: document decoding, query planning (once
-/// per request), and the per-document exchange pipeline on the shared
-/// compiled setting with this worker's scratch. Every per-document
-/// computation is exactly the one [`BatchEngine`]'s `*_batch` methods run,
-/// so responses are byte-for-byte what a local batch call would produce.
-///
-/// Request-level validation (document parsing, query parsing) happens
-/// *before* the first body byte is streamed, so a logical response is
-/// either one whole error frame or a complete OK stream — never a
-/// half-written success.
-#[allow(clippy::too_many_arguments)]
-fn respond(
-    engine: &BatchEngine<'_>,
-    store: Option<&ServerStore>,
-    stats: &ServerStats,
-    wal_checkpoint_bytes: u64,
-    scratch: &mut ExchangeScratch,
-    setting: u64,
-    body: RequestBody,
-    codec: Codec,
-    mut w: ResponseWriter<'_>,
-) {
-    let compiled = engine.compiled();
-    match body {
-        // `Ping` and `Hello` are answered inline by the event loop; a job
-        // carrying one would be a dispatch bug, but answer it anyway.
-        RequestBody::Ping => w.whole(ResponseBody::Pong),
-        RequestBody::Hello { features } => w.whole(ResponseBody::HelloOk {
-            features: features & wire::SUPPORTED_FEATURES,
-        }),
-        RequestBody::CheckConsistency { docs } => match parse_docs(&docs) {
-            Err(e) => w.whole(ResponseBody::Error(e)),
-            Ok(trees) => {
-                w.step(PHASE_DECODE);
-                w.put_ok_header(OpCode::CheckConsistency, trees.len());
-                for t in &trees {
-                    let consistent = compiled.check_instance_consistency_with(t, scratch);
-                    w.put_u8(consistent as u8);
-                }
-                w.step(PHASE_EXEC);
-                w.finish();
-            }
-        },
-        RequestBody::CanonicalSolution { docs } => match parse_docs(&docs) {
-            Err(e) => w.whole(ResponseBody::Error(e)),
-            Ok(trees) => {
-                w.step(PHASE_DECODE);
-                w.put_ok_header(OpCode::CanonicalSolution, trees.len());
-                // Fan out on the engine's *configured* parallelism alone.
-                // Consulting live `available_parallelism()` here made the
-                // branch untestable (a 1-core CI box could never exercise
-                // the reorder buffer below) and second-guessed an explicit
-                // `workers` configuration; whoever builds the engine owns
-                // the single-core-pool-is-a-loss call.
-                if trees.len() > 1 && engine.configured_parallelism() > 1 {
-                    // Multi-document request: fan the per-document chase out
-                    // across the engine's pool ([`BatchEngine::canonical_solutions_for_each`]),
-                    // exactly what a local batch call runs. Results arrive in
-                    // completion order; the stream must be in document order,
-                    // so out-of-order solutions wait in a reorder buffer and
-                    // each is serialized and dropped as soon as its turn
-                    // comes — peak extra memory is the in-flight skew, not
-                    // the batch.
-                    let mut pending: Vec<Option<Result<XmlTree, SolutionError>>> =
-                        (0..trees.len()).map(|_| None).collect();
-                    let mut cursor = 0usize;
-                    engine.canonical_solutions_for_each(&trees, |i, result| {
-                        pending[i] = Some(result);
-                        while let Some(slot) = pending.get_mut(cursor) {
-                            let Some(ready) = slot.take() else { break };
-                            put_solution(&mut w, codec, ready);
-                            cursor += 1;
-                        }
-                    });
-                } else {
-                    // Single document (or no pool): the worker's own warm
-                    // scratch beats spawning compute threads.
-                    for t in &trees {
-                        put_solution(&mut w, codec, compiled.canonical_solution_with(t, scratch));
-                    }
-                }
-                // Streaming paths interleave compute and serialization, so
-                // the exec phase deliberately includes per-document
-                // encoding; the encode phase then covers only the residue
-                // after the last document.
-                w.step(PHASE_EXEC);
-                w.finish();
-            }
-        },
-        RequestBody::CertainAnswers { query, docs } => {
-            let query = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let trees = match parse_docs(&docs) {
-                Ok(t) => t,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let plan = QueryPlan::new(&query, compiled.target_dtd());
-            w.step(PHASE_PLAN);
-            w.put_ok_header(OpCode::CertainAnswers, trees.len());
-            for t in &trees {
-                let result = compiled
-                    .certain_answers_planned_with(t, &plan, scratch)
-                    .map(|answers| answers.tuples.into_iter().collect());
-                put_answers(&mut w, result);
-            }
-            w.step(PHASE_EXEC);
-            w.finish();
-        }
-        RequestBody::CertainAnswersBoolean { query, docs } => {
-            let query = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let trees = match parse_docs(&docs) {
-                Ok(t) => t,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let plan = QueryPlan::new(&query, compiled.target_dtd());
-            w.step(PHASE_PLAN);
-            w.put_ok_header(OpCode::CertainAnswersBoolean, trees.len());
-            for t in &trees {
-                put_boolean(
-                    &mut w,
-                    compiled.certain_boolean_planned_with(t, &plan, scratch),
-                );
-            }
-            w.step(PHASE_EXEC);
-            w.finish();
-        }
-        RequestBody::PutDoc { doc_id, doc } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let tree = match doc.to_tree() {
-                Ok(tree) => tree,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.put(DocKey::new(setting, doc_id), tree);
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
-                }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(version) => w.whole(ResponseBody::PutDocOk { version }),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::GetDoc { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            // Encode under the lock: the returned frame must be one
-            // consistent (version, bytes) pair even if an edit races in.
-            let mut s = store.lock().expect("store poisoned");
-            match s.get(DocKey::new(setting, doc_id)) {
-                Ok((tree, version)) => {
-                    let doc = WireDoc::from_tree(tree, codec);
-                    drop(s);
-                    w.step(PHASE_STORE);
-                    w.whole(ResponseBody::GetDocOk { version, doc });
-                }
-                Err(e) => {
-                    drop(s);
-                    w.step(PHASE_STORE);
-                    w.whole(ResponseBody::Error(WireError::of_store_error(&e)));
-                }
-            }
-        }
-        RequestBody::EditDoc {
-            doc_id,
-            base_version,
-            edits,
-        } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let batch = match decode_edits_exact(&edits) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    return w.whole(ResponseBody::Error(WireError::new(
-                        wire::ErrorCode::BadEdit,
-                        format!("malformed edit batch: {e}"),
-                    )))
-                }
-            };
-            w.step(PHASE_DECODE);
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.edit(DocKey::new(setting, doc_id), base_version, &batch);
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
-                }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(receipt) => w.whole(ResponseBody::EditDocOk {
-                    version: receipt.version,
-                }),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::DeleteDoc { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.delete(DocKey::new(setting, doc_id));
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
-                }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(()) => w.whole(ResponseBody::DeleteDocOk),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::CheckConsistencyStored { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::Consistency,
-                |tree| {
-                    CachedAnswer::Consistency(
-                        compiled.check_instance_consistency_with(tree, scratch),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Consistency(consistent)) => {
-                    w.put_ok_header(OpCode::CheckConsistency, 1);
-                    w.put_u8(consistent as u8);
-                    w.finish();
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CanonicalSolutionStored { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CanonicalSolution,
-                |tree| CachedAnswer::Solution(compiled.canonical_solution_with(tree, scratch)),
-            );
-            match answer {
-                Ok(CachedAnswer::Solution(result)) => {
-                    w.put_ok_header(OpCode::CanonicalSolution, 1);
-                    put_solution(&mut w, codec, result);
-                    w.finish();
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CertainAnswersStored { query, doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            // Parse before the cache lookup so a malformed query fails
-            // identically whether or not an answer is cached.
-            let parsed = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CertainAnswers(query),
-                |tree| {
-                    let plan = QueryPlan::new(&parsed, compiled.target_dtd());
-                    CachedAnswer::Answers(
-                        compiled
-                            .certain_answers_planned_with(tree, &plan, scratch)
-                            .map(|answers| answers.tuples.into_iter().collect()),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Answers(result)) => {
-                    w.put_ok_header(OpCode::CertainAnswers, 1);
-                    put_answers(&mut w, result);
-                    w.finish();
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CertainAnswersBooleanStored { query, doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let parsed = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CertainBoolean(query),
-                |tree| {
-                    let plan = QueryPlan::new(&parsed, compiled.target_dtd());
-                    CachedAnswer::Boolean(
-                        compiled.certain_boolean_planned_with(tree, &plan, scratch),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Boolean(result)) => {
-                    w.put_ok_header(OpCode::CertainAnswersBoolean, 1);
-                    put_boolean(&mut w, result);
-                    w.finish();
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        // Registry ops are answered by the registry path before `respond`
-        // is reached; a job carrying one here is a dispatch bug, but
-        // answer it with a structured error instead of poisoning the
-        // worker.
-        RequestBody::PutSetting { .. }
-        | RequestBody::ListSettings
-        | RequestBody::EvictSetting { .. }
-        | RequestBody::Stats => {
-            w.whole(ResponseBody::Error(WireError::new(
-                wire::ErrorCode::UnknownOp,
-                "registry op dispatched to the exchange path".to_string(),
-            )));
-        }
-    }
-}
-
-/// A cached answer came back under the wrong [`CachedAnswer`] variant.
-/// Unreachable as long as [`CacheKey`] → variant stays one-to-one; answer
-/// with a structured error instead of poisoning the worker.
-fn cache_shape_error(doc: DocKey) -> WireError {
-    WireError::new(
-        wire::ErrorCode::StoreIo,
-        format!("cached answer for document {doc} has the wrong shape"),
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@
 use std::fmt;
 use xdx_core::solution::SolutionError;
 use xdx_patterns::QueryParseError;
-use xdx_xmltree::binary::BinaryError;
+use xdx_xmltree::binary::{BinaryError, ByteSink, Encoder};
 use xdx_xmltree::{parse_tree, tree_to_text, TreeTextError, XmlTree};
 
 /// Hard protocol cap on documents per request (servers may configure a
@@ -928,27 +928,35 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
+// The writers are generic over [`ByteSink`]: [`encode_response`] fills a
+// `Vec<u8>`, and the server streams the same per-document rows straight
+// into its segmented response writer, so both emit the same bytes.
+
+fn put_u8<S: ByteSink>(out: &mut S, v: u8) {
+    out.put(&[v]);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+fn put_u16<S: ByteSink>(out: &mut S, v: u16) {
+    out.put(&v.to_be_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
+fn put_u32<S: ByteSink>(out: &mut S, v: u32) {
+    out.put(&v.to_be_bytes());
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
+fn put_u64<S: ByteSink>(out: &mut S, v: u64) {
+    out.put(&v.to_be_bytes());
+}
+
+fn put_string<S: ByteSink>(out: &mut S, s: &str) {
     put_u32(
         out,
         u32::try_from(s.len()).expect("string exceeds u32::MAX bytes"),
     );
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
-fn put_wire_error(out: &mut Vec<u8>, e: &WireError) {
+fn put_wire_error<S: ByteSink>(out: &mut S, e: &WireError) {
     put_u16(out, e.code as u16);
     put_string(out, &e.message);
 }
@@ -961,14 +969,26 @@ fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError, DecodeError> {
     Ok(WireError { code, message })
 }
 
-fn put_doc_result<T>(out: &mut Vec<u8>, result: &DocResult<T>, put: impl Fn(&mut Vec<u8>, &T)) {
+/// `[op][rows: u16]`: the body prefix of every per-document response
+/// (after its status and id), followed by one row per document.
+pub(crate) fn put_rows_header<S: ByteSink>(out: &mut S, op: OpCode, rows: usize) {
+    put_u8(out, op as u8);
+    put_u16(out, u16::try_from(rows).expect("doc count exceeds u16"));
+}
+
+/// One per-document row: tag 0 and the value, or tag 1 and the error.
+pub(crate) fn put_doc_result<S: ByteSink, T: ?Sized>(
+    out: &mut S,
+    result: Result<&T, &WireError>,
+    put: impl FnOnce(&mut S, &T),
+) {
     match result {
         Ok(v) => {
-            out.push(0);
+            put_u8(out, 0);
             put(out, v);
         }
         Err(e) => {
-            out.push(1);
+            put_u8(out, 1);
             put_wire_error(out, e);
         }
     }
@@ -1000,13 +1020,50 @@ fn read_doc(r: &mut Reader<'_>, codec: Codec) -> Result<WireDoc, DecodeError> {
     }
 }
 
-fn put_doc(out: &mut Vec<u8>, doc: &WireDoc) {
+pub(crate) fn put_bool<S: ByteSink>(out: &mut S, b: bool) {
+    put_u8(out, b as u8);
+}
+
+/// A certain-answers row value: the tuple count, then each tuple as its
+/// arity and its constants.
+pub(crate) fn put_tuples<S: ByteSink>(out: &mut S, tuples: &[Vec<String>]) {
+    put_u32(
+        out,
+        u32::try_from(tuples.len()).expect("tuple count exceeds u32"),
+    );
+    for tuple in tuples {
+        put_u16(out, u16::try_from(tuple.len()).expect("arity exceeds u16"));
+        for v in tuple {
+            put_string(out, v);
+        }
+    }
+}
+
+fn put_doc<S: ByteSink>(out: &mut S, doc: &WireDoc) {
     let bytes = doc.as_bytes();
     put_u32(
         out,
         u32::try_from(bytes.len()).expect("document exceeds u32::MAX bytes"),
     );
-    out.extend_from_slice(bytes);
+    out.put(bytes);
+}
+
+/// A document written straight from its tree in `codec`: the bytes of
+/// `put_doc(out, &WireDoc::from_tree(tree, codec))`, except that a binary
+/// document streams into `out` unbuffered (the two-pass encoder knows its
+/// length before the first byte).
+pub(crate) fn put_tree<S: ByteSink>(out: &mut S, tree: &XmlTree, codec: Codec) {
+    match codec {
+        Codec::Text => put_string(out, &tree_to_text(tree)),
+        Codec::Binary => {
+            let enc = Encoder::new(tree);
+            put_u32(
+                out,
+                u32::try_from(enc.encoded_len()).expect("document exceeds u32::MAX bytes"),
+            );
+            enc.write_to(out);
+        }
+    }
 }
 
 fn read_docs(
@@ -1204,126 +1261,70 @@ pub fn decode_request(
 
 /// Encode a response payload (no length prefix; see [`frame`]).
 pub fn encode_response(resp: &ResponseFrame) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = vec![match resp.body {
+        ResponseBody::Error(_) => STATUS_ERROR,
+        ResponseBody::Busy => STATUS_BUSY,
+        ResponseBody::GoAway => STATUS_GOAWAY,
+        _ => STATUS_OK,
+    }];
+    put_u64(&mut out, resp.id);
     match &resp.body {
-        ResponseBody::Error(e) => {
-            out.push(STATUS_ERROR);
-            put_u64(&mut out, resp.id);
-            put_wire_error(&mut out, e);
-        }
-        ResponseBody::Busy => {
-            out.push(STATUS_BUSY);
-            put_u64(&mut out, resp.id);
-        }
-        ResponseBody::GoAway => {
-            out.push(STATUS_GOAWAY);
-            put_u64(&mut out, resp.id);
-        }
-        ResponseBody::Pong => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::Ping as u8);
-        }
+        ResponseBody::Error(e) => put_wire_error(&mut out, e),
+        ResponseBody::Busy | ResponseBody::GoAway => {}
+        ResponseBody::Pong => out.push(OpCode::Ping as u8),
         ResponseBody::HelloOk { features } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::Hello as u8);
             put_u32(&mut out, *features);
         }
         ResponseBody::Consistency(flags) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CheckConsistency as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(flags.len()).expect("doc count exceeds u16"),
-            );
-            out.extend(flags.iter().map(|&b| b as u8));
+            put_rows_header(&mut out, OpCode::CheckConsistency, flags.len());
+            for &b in flags {
+                put_bool(&mut out, b);
+            }
         }
         ResponseBody::Solutions(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CanonicalSolution as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
+            put_rows_header(&mut out, OpCode::CanonicalSolution, results.len());
             for result in results {
-                put_doc_result(&mut out, result, put_doc);
+                put_doc_result(&mut out, result.as_ref(), put_doc);
             }
         }
         ResponseBody::Answers(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CertainAnswers as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
+            put_rows_header(&mut out, OpCode::CertainAnswers, results.len());
             for result in results {
-                put_doc_result(&mut out, result, |out, tuples| {
-                    put_u32(
-                        out,
-                        u32::try_from(tuples.len()).expect("tuple count exceeds u32"),
-                    );
-                    for tuple in tuples {
-                        put_u16(out, u16::try_from(tuple.len()).expect("arity exceeds u16"));
-                        for v in tuple {
-                            put_string(out, v);
-                        }
-                    }
+                put_doc_result(&mut out, result.as_ref(), |out, tuples| {
+                    put_tuples(out, tuples)
                 });
             }
         }
         ResponseBody::Booleans(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CertainAnswersBoolean as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
+            put_rows_header(&mut out, OpCode::CertainAnswersBoolean, results.len());
             for result in results {
-                put_doc_result(&mut out, result, |out, &b| out.push(b as u8));
+                put_doc_result(&mut out, result.as_ref(), |out, &b| put_bool(out, b));
             }
         }
         ResponseBody::PutDocOk { version } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::PutDoc as u8);
             put_u64(&mut out, *version);
         }
         ResponseBody::GetDocOk { version, doc } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::GetDoc as u8);
             put_u64(&mut out, *version);
             put_doc(&mut out, doc);
         }
         ResponseBody::EditDocOk { version } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::EditDoc as u8);
             put_u64(&mut out, *version);
         }
-        ResponseBody::DeleteDocOk => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::DeleteDoc as u8);
-        }
+        ResponseBody::DeleteDocOk => out.push(OpCode::DeleteDoc as u8),
         ResponseBody::PutSettingOk {
             content_hash,
             reused,
         } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::PutSetting as u8);
             put_u64(&mut out, *content_hash);
             out.push(*reused as u8);
         }
         ResponseBody::SettingList { entries } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::ListSettings as u8);
             put_u16(
                 &mut out,
@@ -1337,8 +1338,6 @@ pub fn encode_response(resp: &ResponseFrame) -> Vec<u8> {
             }
         }
         ResponseBody::EvictSettingOk { dropped } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::EvictSetting as u8);
             out.push(*dropped as u8);
         }
@@ -1346,8 +1345,6 @@ pub fn encode_response(resp: &ResponseFrame) -> Vec<u8> {
             counters,
             histograms,
         } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
             out.push(OpCode::Stats as u8);
             put_u16(
                 &mut out,
@@ -1412,11 +1409,7 @@ pub fn decode_response(payload: &[u8], codec: Codec) -> Result<ResponseFrame, De
                     let n = r.u16()? as usize;
                     let mut flags = Vec::with_capacity(n.min(4096));
                     for _ in 0..n {
-                        flags.push(match r.u8()? {
-                            0 => false,
-                            1 => true,
-                            b => return Err(r.err(format!("bad boolean {b}"))),
-                        });
+                        flags.push(read_bool(&mut r)?);
                     }
                     ResponseBody::Consistency(flags)
                 }
@@ -1452,11 +1445,7 @@ pub fn decode_response(payload: &[u8], codec: Codec) -> Result<ResponseFrame, De
                     let n = r.u16()? as usize;
                     let mut results = Vec::with_capacity(n.min(4096));
                     for _ in 0..n {
-                        results.push(read_doc_result(&mut r, |r| match r.u8()? {
-                            0 => Ok(false),
-                            1 => Ok(true),
-                            b => Err(r.err(format!("bad boolean {b}"))),
-                        })?);
+                        results.push(read_doc_result(&mut r, read_bool)?);
                     }
                     ResponseBody::Booleans(results)
                 }

@@ -4,11 +4,17 @@
 //! robustness, and backpressure (`Busy`) under a saturated in-flight
 //! budget.
 
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xdx_server::wire::ErrorCode;
-use xdx_server::{Client, ClientError, RequestBody, ResponseBody, Server, ServerConfig};
+use xdx_server::wire::{self, Codec, ErrorCode, OpCode, RequestFrame, WireDoc};
+use xdx_server::{
+    Client, ClientError, RequestBody, ResponseBody, Server, ServerConfig, FEATURE_BINARY_DOCS,
+    FEATURE_CHUNKED_RESPONSES, FEATURE_SETTINGS,
+};
 use xml_data_exchange::core::certain::certain_answers_boolean;
+use xml_data_exchange::core::settext::setting_to_text;
 use xml_data_exchange::core::setting::books_to_writers_setting;
 use xml_data_exchange::patterns::{parse_pattern, ConjunctiveTreeQuery, UnionQuery};
 use xml_data_exchange::xmltree::tree_to_text;
@@ -36,10 +42,14 @@ fn with_server(
         let addr = server.tcp_addr().expect("tcp bound");
         let control = server.control();
         let handle = scope.spawn(move || server.run());
-        // The listeners exist as soon as bind returned; no wait needed.
-        f(addr, &sock);
+        // The listeners exist as soon as bind returned; no wait needed. A
+        // failing `f` still stops the server, so the test fails, not hangs.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr, &sock)));
         control.shutdown();
         handle.join().expect("server thread").expect("clean run");
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
     });
     assert!(!sock.exists(), "the unix socket file must be removed");
     let _ = std::fs::remove_dir_all(&dir);
@@ -937,91 +947,225 @@ fn a_running_server_checkpoints_once_the_wal_outgrows_the_threshold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A bare protocol connection that returns each logical response's raw
+/// payload, partial chunks reassembled, so a test can compare bytes rather
+/// than decoded values. Every frame after `Hello` carries a setting id.
+struct RawConn {
+    stream: UnixStream,
+    next_id: u64,
+    setting_id: u64,
+}
+
+impl RawConn {
+    /// Connect and negotiate `features`, which must include
+    /// [`FEATURE_SETTINGS`].
+    fn connect(sock: &Path, features: u32) -> RawConn {
+        assert_ne!(features & FEATURE_SETTINGS, 0);
+        let mut conn = RawConn {
+            stream: UnixStream::connect(sock).unwrap(),
+            next_id: 1,
+            setting_id: 0,
+        };
+        let (hello, _) = conn.call_framed(RequestBody::Hello { features }, false);
+        match wire::decode_response(&hello, Codec::Text).unwrap().body {
+            ResponseBody::HelloOk { features: accepted } => assert_eq!(accepted, features),
+            other => panic!("expected HelloOk, got {other:?}"),
+        }
+        conn
+    }
+
+    /// Send one request; return its logical response payload with the id
+    /// zeroed (two compared requests have different ids) and the number of
+    /// frames it arrived in.
+    fn call(&mut self, body: RequestBody) -> (Vec<u8>, usize) {
+        self.call_framed(body, true)
+    }
+
+    fn call_framed(&mut self, body: RequestBody, settings: bool) -> (Vec<u8>, usize) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let request = RequestFrame {
+            id,
+            setting_id: self.setting_id,
+            body,
+        };
+        self.stream
+            .write_all(&wire::frame(wire::encode_request(&request, settings)))
+            .unwrap();
+        let mut payload = Vec::new();
+        let mut frames = 0;
+        loop {
+            let mut len = [0u8; 4];
+            self.stream.read_exact(&mut len).unwrap();
+            let mut chunk = vec![0u8; u32::from_be_bytes(len) as usize];
+            self.stream.read_exact(&mut chunk).unwrap();
+            frames += 1;
+            assert_eq!(
+                chunk[1..9],
+                id.to_be_bytes(),
+                "frames of one response share its id"
+            );
+            if payload.is_empty() {
+                payload.extend_from_slice(&chunk[..9]);
+            }
+            payload.extend_from_slice(&chunk[9..]);
+            if chunk[0] != wire::STATUS_OK_PARTIAL {
+                payload[0] = chunk[0];
+                break;
+            }
+        }
+        payload[1..9].fill(0);
+        (payload, frames)
+    }
+}
+
+/// Send each exchange op over `doc`, once shipped in a one-document batch
+/// and once as its `*Stored` twin on `doc_id`; the two raw payloads must be
+/// identical. Returns the canonical-solution payload.
+fn assert_stored_parity(
+    raw: &mut RawConn,
+    codec: Codec,
+    doc: &XmlTree,
+    doc_id: u64,
+    query: &str,
+) -> Vec<u8> {
+    let ship = || vec![WireDoc::from_tree(doc, codec)];
+    let pairs = [
+        (
+            RequestBody::CheckConsistency { docs: ship() },
+            RequestBody::CheckConsistencyStored { doc_id },
+        ),
+        (
+            RequestBody::CanonicalSolution { docs: ship() },
+            RequestBody::CanonicalSolutionStored { doc_id },
+        ),
+        (
+            RequestBody::CertainAnswers {
+                query: query.into(),
+                docs: ship(),
+            },
+            RequestBody::CertainAnswersStored {
+                query: query.into(),
+                doc_id,
+            },
+        ),
+        (
+            RequestBody::CertainAnswersBoolean {
+                query: query.into(),
+                docs: ship(),
+            },
+            RequestBody::CertainAnswersBooleanStored {
+                query: query.into(),
+                doc_id,
+            },
+        ),
+    ];
+    let mut solution = Vec::new();
+    for (base, stored) in pairs {
+        let op = base.op();
+        let (want, want_frames) = raw.call(base);
+        let (got, got_frames) = raw.call(stored);
+        assert_eq!(got, want, "{op:?} over a stored document, {codec:?} codec");
+        assert_eq!(got_frames, want_frames, "{op:?}: same chunking");
+        if op == OpCode::CanonicalSolution {
+            assert!(
+                want_frames > 1,
+                "the solution must stream in several chunks"
+            );
+            solution = want;
+        }
+    }
+    solution
+}
+
 #[test]
 fn stored_queries_match_ship_the_document_ops_byte_for_byte() {
     use xml_data_exchange::store::DocEdit;
     let setting = books_to_writers_setting();
+    // Setting 1 admits a single writer, so a document with two distinct
+    // authors fails its chase with `AttributeClash`: under setting 1, the
+    // solution and certain answers of documents 2 and 3 are error rows.
+    let default_text = setting_to_text(&setting);
+    let clash_text = default_text.replace("bib = writer*", "bib = writer");
+    assert_ne!(clash_text, default_text);
     let docs = sources(4);
-    let query = title_query();
+    let query = title_query().to_string();
     let dir = std::env::temp_dir().join(format!(
         "xdx-server-store-parity-{}-{}",
         std::process::id(),
         DIR_COUNTER.fetch_add(1, Ordering::SeqCst)
     ));
-    with_server(&setting, store_config(&dir), |addr, sock| {
+    // A small chunk limit streams every solution in several segments.
+    let config = ServerConfig {
+        chunk_bytes: 8,
+        ..store_config(&dir)
+    };
+    with_server(&setting, config, |addr, sock| {
+        let mut admin = Client::connect_unix(sock).unwrap();
+        admin.negotiate(FEATURE_SETTINGS).unwrap();
+        admin.put_setting(1, &clash_text).unwrap();
         std::thread::scope(|scope| {
             for (i, doc) in docs.iter().enumerate() {
-                let query = query.clone();
+                let query = &query;
                 scope.spawn(move || {
-                    // Half the clients negotiate the binary codec so parity
-                    // holds under both serializations.
-                    let mut client = if i % 2 == 0 {
-                        Client::connect_tcp(&addr.to_string()).unwrap()
+                    // Half the connections negotiate the binary codec, so
+                    // parity holds under both serializations.
+                    let chunked = FEATURE_SETTINGS | FEATURE_CHUNKED_RESPONSES;
+                    let (codec, features) = if i % 2 == 0 {
+                        (Codec::Text, chunked)
                     } else {
-                        let mut c = Client::connect_unix(sock).unwrap();
-                        c.use_binary().unwrap();
-                        c
+                        (Codec::Binary, chunked | FEATURE_BINARY_DOCS)
                     };
+                    let mut client = Client::connect_unix(sock).unwrap();
+                    client.negotiate(features).unwrap();
+                    let mut raw = RawConn::connect(sock, features);
                     let doc_id = i as u64;
-                    client.put_doc(doc_id, doc).unwrap();
-                    // Two rounds: the first computes, the second must be
-                    // served from the answer cache — identical either way.
-                    for _ in 0..2 {
-                        let ship = client.check_consistency(std::slice::from_ref(doc)).unwrap();
-                        assert_eq!(client.check_consistency_stored(doc_id).unwrap(), ship[0]);
-
-                        let ship = client
-                            .canonical_solution_docs(std::slice::from_ref(doc))
+                    for setting_id in [0, 1] {
+                        client.set_setting(setting_id);
+                        raw.setting_id = setting_id;
+                        client.put_doc(doc_id, doc).unwrap();
+                        // Two rounds: the first computes (a cache miss),
+                        // the second is served from the answer cache.
+                        for _ in 0..2 {
+                            let solution =
+                                assert_stored_parity(&mut raw, codec, doc, doc_id, query);
+                            if setting_id == 1 && i >= 2 {
+                                match wire::decode_response(&solution, codec).unwrap().body {
+                                    ResponseBody::Solutions(rows) => assert_eq!(
+                                        rows[0].as_ref().unwrap_err().code,
+                                        ErrorCode::AttributeClash
+                                    ),
+                                    other => panic!("expected Solutions, got {other:?}"),
+                                }
+                            }
+                        }
+                        // An edit invalidates the cache: stored answers must
+                        // now match ship-the-document answers for the
+                        // *edited* tree.
+                        client
+                            .edit_doc(
+                                doc_id,
+                                0,
+                                &[DocEdit::SetAttr {
+                                    node: 1,
+                                    name: "@title".into(),
+                                    value: format!("Edited{i}").into(),
+                                }],
+                            )
                             .unwrap();
-                        let stored = client.canonical_solution_stored(doc_id).unwrap();
-                        assert_eq!(stored, ship[0], "solution payloads must be identical");
-
-                        let ship = client
-                            .certain_answers(&query, std::slice::from_ref(doc))
-                            .unwrap();
-                        let stored = client.certain_answers_stored(&query, doc_id).unwrap();
-                        assert_eq!(
-                            stored.as_ref().unwrap(),
-                            ship[0].as_ref().unwrap(),
-                            "answer tuples must be identical"
-                        );
-
-                        let ship = client
-                            .certain_answers_boolean(&query, std::slice::from_ref(doc))
-                            .unwrap();
-                        let stored = client
-                            .certain_answers_boolean_stored(&query, doc_id)
-                            .unwrap();
-                        assert_eq!(stored.unwrap(), ship[0].as_ref().copied().unwrap());
+                        let (edited, _) = client.get_doc(doc_id).unwrap();
+                        assert_ne!(tree_to_text(&edited), tree_to_text(doc));
+                        assert_stored_parity(&mut raw, codec, &edited, doc_id, query);
                     }
-
-                    // An edit invalidates the cache: stored answers must now
-                    // match ship-the-document answers for the *edited* tree.
-                    client
-                        .edit_doc(
-                            doc_id,
-                            0,
-                            &[DocEdit::SetAttr {
-                                node: 1,
-                                name: "@title".into(),
-                                value: format!("Edited{i}").into(),
-                            }],
-                        )
-                        .unwrap();
-                    let (edited, _) = client.get_doc(doc_id).unwrap();
-                    let ship = client
-                        .canonical_solution_docs(std::slice::from_ref(&edited))
-                        .unwrap();
-                    let stored = client.canonical_solution_stored(doc_id).unwrap();
-                    assert_eq!(stored, ship[0], "the cache must not serve pre-edit bytes");
-                    let ship = client
-                        .certain_answers(&query, std::slice::from_ref(&edited))
-                        .unwrap();
-                    let stored = client.certain_answers_stored(&query, doc_id).unwrap();
-                    assert_eq!(stored.as_ref().unwrap(), ship[0].as_ref().unwrap());
                 });
             }
         });
+        // Per document and setting: four misses, four hits, and four misses
+        // after the edit.
+        let stats = admin.stats().unwrap();
+        let runs = (docs.len() * 2) as u64;
+        assert_eq!(stats.counter("store.cache_hits"), Some(4 * runs));
+        assert_eq!(stats.counter("store.cache_misses"), Some(8 * runs));
         // A malformed stored query fails exactly like the ship-the-document
         // op: same code, before any cache interaction.
         let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
