@@ -11,9 +11,10 @@
 //! is silently discarded at insertion instead of poisoning readers.
 //!
 //! The cache is deliberately generic in the cached value `V`: `xdx-core`
-//! callers can cache semantic results (solution trees, answer sets) while
-//! the server caches fully encoded response bodies for byte-for-byte reply
-//! parity. It is also deliberately *not* thread-safe — one cache belongs to
+//! callers can cache solution trees or answer sets, and the server caches
+//! semantic per-document answers (its `DocAnswer` rows), encoded afresh
+//! for every reply.
+//! It is also deliberately *not* thread-safe — one cache belongs to
 //! one resident document, whose store already serialises mutation; the
 //! compute-outside-the-lock pattern is exactly what the `computed_at` tag
 //! at [`DocResultCache::insert`] makes safe.

@@ -28,7 +28,7 @@ impl CertainAnswers {
     /// For Boolean queries: is the certain answer `true`?
     pub fn as_boolean(&self) -> bool {
         // A Boolean query returns the empty tuple when it holds.
-        self.tuples.iter().any(|t| t.is_empty()) || !self.tuples.is_empty()
+        !self.tuples.is_empty()
     }
 }
 

@@ -10,8 +10,9 @@
 //! * the [`CompiledDtd`]s of both schemas (interned symbols + dense-table
 //!   DFAs; shared with the `Dtd` itself, so repeated `CompiledSetting`
 //!   construction is cheap);
-//! * per-STD compiled patterns ([`CompiledPattern`]), shared/target-only
-//!   variable sets and fully-specified/wildcard flags;
+//! * per-STD join-ordered pattern plans ([`PatternPlan`]s, resolved against
+//!   each side's DTD), shared/target-only variable sets and
+//!   fully-specified/wildcard flags;
 //! * lazily, per-element [`RepairContext`]s for the chase (`ChangeReg`), the
 //!   `D°`/`D*` unique-tree plan for the nested-relational consistency check
 //!   of Theorem 4.5, and the automata solvers of the general check of
@@ -31,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
 use xdx_automata::PatternSatisfiability;
-use xdx_patterns::compiled::{holds_in_matches, CompiledPattern, InternedLabels};
+use xdx_patterns::eval::holds_in;
 use xdx_patterns::plan::{EvalScratch, PatternPlan, TreeIndex};
 use xdx_patterns::{TreePattern, Var};
 use xdx_relang::repair::{RepairConfig, RepairContext};
@@ -45,17 +46,10 @@ pub struct CompiledStd {
     /// Target-only variables (`z̄`), precomputed so every instantiation of
     /// the target pattern skips the per-match set algebra.
     pub target_only_vars: Vec<Var>,
-    /// The source pattern compiled against the source DTD's interner.
-    pub source_compiled: CompiledPattern,
-    /// The target pattern compiled against the target DTD's interner.
-    pub target_compiled: CompiledPattern,
-    /// The source pattern's join-ordered evaluation plan, built on first
-    /// document and reused across every source document of every batch.
-    /// Lazy so consistency-only callers (which never evaluate STD patterns
-    /// against documents) pay nothing for it.
-    source_plan: OnceLock<PatternPlan>,
-    /// The target pattern's join-ordered evaluation plan (lazy, see above).
-    target_plan: OnceLock<PatternPlan>,
+    /// The source pattern planned against the source DTD's symbols.
+    source_plan: PatternPlan,
+    /// The target pattern planned against the target DTD's symbols.
+    target_plan: PatternPlan,
     /// The target pattern flattened for template stamping (`None` exactly
     /// when the target uses a wildcard or is not fully specified — those
     /// STDs error out of pre-solution construction before instantiation).
@@ -73,14 +67,12 @@ pub struct CompiledStd {
 impl CompiledStd {
     /// The source pattern's join-ordered evaluation plan.
     pub fn source_plan(&self) -> &PatternPlan {
-        self.source_plan
-            .get_or_init(|| PatternPlan::from_compiled(&self.source_compiled))
+        &self.source_plan
     }
 
     /// The target pattern's join-ordered evaluation plan.
     pub fn target_plan(&self) -> &PatternPlan {
-        self.target_plan
-            .get_or_init(|| PatternPlan::from_compiled(&self.target_compiled))
+        &self.target_plan
     }
 }
 
@@ -279,8 +271,6 @@ fn assert_send_sync() {
     check::<CompiledSetting<'static>>();
     check::<CompiledStd>();
     check::<CompiledDtd>();
-    check::<CompiledPattern>();
-    check::<InternedLabels>();
     check::<PatternPlan>();
     check::<TreeIndex>();
     check::<NestedRelationalPlan>();
@@ -316,8 +306,6 @@ impl<'s> CompiledSetting<'s> {
             .iter()
             .map(|std| {
                 forced_target_elements.extend(std.target.element_types());
-                let source_compiled = CompiledPattern::new(&std.source, &source);
-                let target_compiled = CompiledPattern::new(&std.target, &target);
                 // One free-vars pass per side covers both variable sets
                 // (`Std::{shared,target_only}_vars` would each redo both).
                 let source_vars = std.source.free_vars();
@@ -328,10 +316,8 @@ impl<'s> CompiledSetting<'s> {
                     target_template: TargetTemplate::new(&std.target, &shared_vars),
                     shared_vars,
                     target_only_vars: target_vars.difference(&source_vars).cloned().collect(),
-                    source_plan: OnceLock::new(),
-                    target_plan: OnceLock::new(),
-                    source_compiled,
-                    target_compiled,
+                    source_plan: PatternPlan::new(&std.source, &source),
+                    target_plan: PatternPlan::new(&std.target, &target),
                     erased_source: std.source.erase_attributes(),
                     erased_target: std.target.erase_attributes(),
                     target_fully_specified: std.target.is_fully_specified(target_root),
@@ -485,34 +471,7 @@ impl<'s> CompiledSetting<'s> {
         nulls: &mut NullGen,
         budget: usize,
     ) -> Result<(), SolutionError> {
-        // Seed with every reachable node in document order.
-        let queue: VecDeque<NodeId> = tree.preorder().collect();
-        let mut queued = vec![false; tree.arena_len()];
-        for &n in &queue {
-            queued[n.index()] = true;
-        }
-        self.chase_seeded(tree, nulls, budget, queue, queued, None)
-    }
-
-    /// As [`CompiledSetting::chase`], but charging pops and applied repairs
-    /// to `counters` — the instrumented path [`canonical_solution_with`]
-    /// (and through it the serving dispatcher) takes so per-request chase
-    /// work is observable without taxing the public entry points.
-    ///
-    /// [`canonical_solution_with`]: CompiledSetting::canonical_solution_with
-    fn chase_counted(
-        &self,
-        tree: &mut XmlTree,
-        nulls: &mut NullGen,
-        counters: &mut EngineCounters,
-    ) -> Result<(), SolutionError> {
-        let budget = chase_budget(tree.size());
-        let queue: VecDeque<NodeId> = tree.preorder().collect();
-        let mut queued = vec![false; tree.arena_len()];
-        for &n in &queue {
-            queued[n.index()] = true;
-        }
-        self.chase_seeded(tree, nulls, budget, queue, queued, Some(counters))
+        self.chase_seeded(tree, nulls, None, budget, &mut EngineCounters::default())
     }
 
     /// Re-chase an **already chase-clean** tree after node-local edits,
@@ -549,44 +508,58 @@ impl<'s> CompiledSetting<'s> {
         // Budget from the arena length, not `size()`: arena_len ≥ size and
         // is O(1), where a `size()` traversal would put an O(document) cost
         // back into the O(dirty) path this entry point exists for.
-        self.chase_incremental_with_budget(tree, nulls, dirty, chase_budget(tree.arena_len()))
+        let budget = chase_budget(tree.arena_len());
+        self.chase_seeded(
+            tree,
+            nulls,
+            Some(dirty),
+            budget,
+            &mut EngineCounters::default(),
+        )
     }
 
-    /// As [`CompiledSetting::chase_incremental`] with an explicit step
-    /// budget (same counting rules as [`CompiledSetting::chase_with_budget`]).
-    pub fn chase_incremental_with_budget(
-        &self,
-        tree: &mut XmlTree,
-        nulls: &mut NullGen,
-        dirty: &[NodeId],
-        budget: usize,
-    ) -> Result<(), SolutionError> {
-        let mut queued = vec![false; tree.arena_len()];
-        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(dirty.len());
-        for &n in dirty {
-            assert!(
-                n.index() < tree.arena_len(),
-                "dirty node id outside the tree's arena"
-            );
-            if !queued[n.index()] {
-                queued[n.index()] = true;
-                queue.push_back(n);
-            }
-        }
-        self.chase_seeded(tree, nulls, budget, queue, queued, None)
-    }
-
-    /// The worklist chase proper, shared by the full and incremental entry
-    /// points: pops until the seeded-plus-cascaded queue drains.
+    /// The worklist chase proper, shared by every entry point. The queue is
+    /// seeded with `dirty` (deduplicated, in the given order) or, when
+    /// `dirty` is `None`, with every reachable node in document order, and
+    /// pops until the seeded-plus-cascaded queue drains. Pops and applied
+    /// repairs are charged to `counters`.
     fn chase_seeded(
         &self,
         tree: &mut XmlTree,
         nulls: &mut NullGen,
+        dirty: Option<&[NodeId]>,
         budget: usize,
-        mut queue: VecDeque<NodeId>,
-        mut queued: Vec<bool>,
-        mut counters: Option<&mut EngineCounters>,
+        counters: &mut EngineCounters,
     ) -> Result<(), SolutionError> {
+        // `queued` (indexed by arena slot) keeps queue membership O(1).
+        fn enqueue(queue: &mut VecDeque<NodeId>, queued: &mut Vec<bool>, node: NodeId) {
+            if queued.len() <= node.index() {
+                queued.resize(node.index() + 1, false);
+            }
+            if !queued[node.index()] {
+                queued[node.index()] = true;
+                queue.push_back(node);
+            }
+        }
+
+        let preorder: Vec<NodeId>;
+        let seed = match dirty {
+            Some(dirty) => dirty,
+            None => {
+                preorder = tree.preorder().collect();
+                &preorder
+            }
+        };
+        let mut queued = vec![false; tree.arena_len()];
+        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(seed.len());
+        for &n in seed {
+            assert!(
+                n.index() < tree.arena_len(),
+                "seed node id outside the tree's arena"
+            );
+            enqueue(&mut queue, &mut queued, n);
+        }
+
         let repair_config = RepairConfig::default();
         let mut steps = 0usize;
         // The children multiset is accumulated in a `Sym`-indexed dense
@@ -605,26 +578,12 @@ impl<'s> CompiledSetting<'s> {
         // one (labels forced by neither content models nor STDs).
         let mut overrides: BTreeMap<ElementType, RepairContext<ElementType>> = BTreeMap::new();
 
-        // `queued` (indexed by arena slot) keeps queue membership O(1).
-        fn enqueue(queue: &mut VecDeque<NodeId>, queued: &mut Vec<bool>, node: NodeId) {
-            if queued.len() <= node.index() {
-                queued.resize(node.index() + 1, false);
-            }
-            if !queued[node.index()] {
-                queued[node.index()] = true;
-                queue.push_back(node);
-            }
-        }
-
         while let Some(node) = queue.pop_front() {
             queued[node.index()] = false;
             // Work accounting is written through immediately (not at the
             // end), so budget-exceeded and unrepairable exits still report
-            // the work done. One predictable branch per pop — noise next
-            // to the per-node attribute walk and child scan.
-            if let Some(c) = counters.as_deref_mut() {
-                c.chase_steps += 1;
-            }
+            // the work done.
+            counters.chase_steps += 1;
             // Merged-away children are detached by `ChangeReg`; their queue
             // entries are stale and simply expire here.
             if node != tree.root() && tree.parent(node).is_none() {
@@ -765,9 +724,7 @@ impl<'s> CompiledSetting<'s> {
                 });
             };
             steps += 1;
-            if let Some(c) = counters.as_deref_mut() {
-                c.chase_repairs += 1;
-            }
+            counters.chase_repairs += 1;
             if steps > budget {
                 return Err(SolutionError::ChaseBudgetExceeded { steps });
             }
@@ -812,7 +769,8 @@ impl<'s> CompiledSetting<'s> {
     ) -> Result<XmlTree, SolutionError> {
         let mut nulls = NullGen::new();
         let mut tree = self.canonical_presolution_with(source_tree, &mut nulls, scratch)?;
-        self.chase_counted(&mut tree, &mut nulls, &mut scratch.counters)?;
+        let budget = chase_budget(tree.size());
+        self.chase_seeded(&mut tree, &mut nulls, None, budget, &mut scratch.counters)?;
         Ok(tree)
     }
 
@@ -894,7 +852,7 @@ impl<'s> CompiledSetting<'s> {
                     &source_index,
                     &cstd.shared_vars,
                     |restricted| {
-                        if holds_in_matches(&target_matches, restricted) {
+                        if holds_in(&target_matches, restricted) {
                             Ok(())
                         } else {
                             Err(())

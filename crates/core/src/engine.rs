@@ -12,10 +12,10 @@
 //! * work distribution is a shared atomic next-index counter, so fast
 //!   documents never wait behind slow ones (work stealing at item
 //!   granularity);
-//! * results are written back by input index, so output order always
-//!   matches input order regardless of which worker finished first — the
-//!   batch APIs are deterministic drop-in replacements for a sequential
-//!   `iter().map(...)` over the same slice.
+//! * results stream back tagged with their input index; the `*_batch`
+//!   methods put them back into input order regardless of which worker
+//!   finished first, so they are deterministic drop-in replacements for a
+//!   sequential `iter().map(...)` over the same slice.
 //!
 //! The engine is synchronous by design: it is the substrate the ROADMAP's
 //! async-serving step will sit on (an async front-end only needs to hand
@@ -96,7 +96,7 @@ impl<'s> BatchEngine<'s> {
     /// fully-specified STDs; outside that class the per-tree answer is
     /// `false` exactly when the sequential call would error.
     pub fn check_consistency_batch(&self, trees: &[XmlTree]) -> Vec<bool> {
-        self.run(trees, |scratch, tree| {
+        self.run_in_order(trees, |scratch, tree| {
             self.compiled.check_instance_consistency_with(tree, scratch)
         })
     }
@@ -107,7 +107,7 @@ impl<'s> BatchEngine<'s> {
         &self,
         trees: &[XmlTree],
     ) -> Vec<Result<XmlTree, SolutionError>> {
-        self.run(trees, |scratch, tree| {
+        self.run_in_order(trees, |scratch, tree| {
             self.compiled.canonical_solution_with(tree, scratch)
         })
     }
@@ -120,41 +120,15 @@ impl<'s> BatchEngine<'s> {
     /// is the handful of solutions in flight — not the whole batch. With
     /// `parallelism(1)` the sink is called in input order on the calling
     /// thread; otherwise results cross a channel and arrive unordered.
-    pub fn canonical_solutions_for_each<F>(&self, trees: &[XmlTree], mut sink: F)
+    pub fn canonical_solutions_for_each<F>(&self, trees: &[XmlTree], sink: F)
     where
         F: FnMut(usize, Result<XmlTree, SolutionError>),
     {
-        let workers = self.parallelism.min(trees.len());
-        if workers <= 1 {
-            let mut scratch = ExchangeScratch::new();
-            for (i, tree) in trees.iter().enumerate() {
-                sink(i, self.compiled.canonical_solution_with(tree, &mut scratch));
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || {
-                    let mut scratch = ExchangeScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(tree) = trees.get(i) else { break };
-                        let result = self.compiled.canonical_solution_with(tree, &mut scratch);
-                        if tx.send((i, result)).is_err() {
-                            break; // receiver gone: the scope is unwinding
-                        }
-                    }
-                });
-            }
-            drop(tx); // workers hold the only senders left
-            for (i, result) in rx {
-                sink(i, result);
-            }
-        });
+        self.run(
+            trees,
+            |scratch, tree| self.compiled.canonical_solution_with(tree, scratch),
+            sink,
+        );
     }
 
     /// The certain answers of `query` for every source tree, in input order
@@ -168,55 +142,68 @@ impl<'s> BatchEngine<'s> {
         query: &UnionQuery,
     ) -> Vec<Result<CertainAnswers, SolutionError>> {
         let plan = QueryPlan::new(query, self.compiled.target_dtd());
-        self.run(trees, |scratch, tree| {
+        self.run_in_order(trees, |scratch, tree| {
             self.compiled
                 .certain_answers_planned_with(tree, &plan, scratch)
         })
     }
 
-    /// Map `f` over `items` on the worker pool, returning results in input
-    /// order. Workers claim items through a shared atomic cursor; each
-    /// worker holds one [`ExchangeScratch`] for the whole batch (per-document
-    /// heap blocks — tree indexes, assignment stores — are reused across
-    /// every item it claims) and accumulates `(index, result)` pairs locally;
-    /// the results are stitched together by index after the scope joins, so
-    /// no locks are held while working and the output permutation is the
-    /// identity.
-    fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    /// Map `f` over `items` on the worker pool, handing each `(index,
+    /// result)` pair to `sink` on the calling thread as it completes.
+    /// Workers claim items through a shared atomic cursor and each holds one
+    /// [`ExchangeScratch`] for the whole batch (per-document heap blocks —
+    /// tree indexes, assignment stores — are reused across every item it
+    /// claims). With one worker the items run in input order on the calling
+    /// thread; otherwise results cross a channel in completion order.
+    fn run<T, R, F, S>(&self, items: &[T], f: F, mut sink: S)
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&mut ExchangeScratch, &T) -> R + Sync,
+        S: FnMut(usize, R),
+    {
+        let workers = self.parallelism.min(items.len());
+        if workers <= 1 {
+            let mut scratch = ExchangeScratch::new();
+            for (i, item) in items.iter().enumerate() {
+                sink(i, f(&mut scratch, item));
+            }
+            return;
+        }
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (next, f) = (&next, &f);
+                scope.spawn(move || {
+                    let mut scratch = ExchangeScratch::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        if tx.send((i, f(&mut scratch, item))).is_err() {
+                            break; // receiver gone: the scope is unwinding
+                        }
+                    }
+                });
+            }
+            drop(tx); // workers hold the only senders left
+            for (i, result) in rx {
+                sink(i, result);
+            }
+        });
+    }
+
+    /// As [`Self::run`], collecting the results into input order.
+    fn run_in_order<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&mut ExchangeScratch, &T) -> R + Sync,
     {
-        let workers = self.parallelism.min(items.len());
-        if workers <= 1 {
-            let mut scratch = ExchangeScratch::new();
-            return items.iter().map(|item| f(&mut scratch, item)).collect();
-        }
-        let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
         slots.resize_with(items.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = ExchangeScratch::new();
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            local.push((i, f(&mut scratch, item)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
+        self.run(items, f, |i, result| slots[i] = Some(result));
         slots
             .into_iter()
             .map(|slot| slot.expect("every input index was claimed by exactly one worker"))

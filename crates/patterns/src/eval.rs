@@ -136,7 +136,12 @@ pub fn holds_reference(tree: &XmlTree, pattern: &TreePattern, assignment: &Assig
     holds_in(&all_matches_reference(tree, pattern), assignment)
 }
 
-fn holds_in(matches: &[Assignment], assignment: &Assignment) -> bool {
+/// Does `T ⊨ ϕ(σ)` hold, given the pre-computed match relation `ϕ(T)`?
+///
+/// Callers evaluating many assignments against one tree (e.g.
+/// `is_solution` in `xdx-core`) compute `ϕ(T)` once and call this per
+/// assignment.
+pub fn holds_in(matches: &[Assignment], assignment: &Assignment) -> bool {
     matches.iter().any(|m| {
         m.iter().all(|(var, value)| match assignment.get(var) {
             Some(expected) => expected == value,

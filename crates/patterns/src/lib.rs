@@ -34,20 +34,16 @@
 //!   evaluation;
 //! * [`homomorphism`] — homomorphisms between XML trees (Lemma 6.14), the
 //!   tool behind the correctness of canonical solutions;
-//! * [`compiled`] — the interned-symbol fast path: patterns resolved once
-//!   against a [`xdx_xmltree::CompiledDtd`] so evaluation compares dense
-//!   `u32` symbols instead of strings (differential-tested against
-//!   [`eval`]);
-//! * [`plan`] — the join-ordered planned evaluator: per-node candidate sets
-//!   from a one-pass label index of the tree, child/descendant edges joined
-//!   in ascending cardinality order, hashed-assignment dedup. This is what
-//!   [`eval::all_matches`] and the compiled layer actually run;
-//!   [`eval::all_matches_reference`] stays as the oracle.
+//! * [`plan`] — the join-ordered planned evaluator: patterns resolved once
+//!   against a [`xdx_xmltree::CompiledDtd`]'s symbols, per-node candidate
+//!   sets from a one-pass label index of the tree, child/descendant edges
+//!   joined in ascending cardinality order, hashed-assignment dedup. This
+//!   is what [`eval::all_matches`] and `xdx-core`'s compiled setting
+//!   actually run; [`eval::all_matches_reference`] stays as the oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod eval;
 pub mod homomorphism;
 pub mod parser;
@@ -55,7 +51,6 @@ pub mod pattern;
 pub mod plan;
 pub mod query;
 
-pub use compiled::{all_matches_compiled, holds_in_matches, CompiledPattern, InternedLabels};
 pub use eval::{all_matches, all_matches_reference, holds, matches_at, Assignment};
 pub use homomorphism::{find_homomorphism, is_homomorphism, Homomorphism};
 pub use parser::{parse_pattern, parse_query, PatternParseError, QueryParseError};

@@ -1,10 +1,10 @@
 //! Join-ordered pattern evaluation — the planned fast path.
 //!
-//! The recursive evaluators ([`crate::eval::all_matches_reference`] and
-//! [`crate::compiled::matches_at_compiled`]) are *enumerate-then-merge*: at
-//! every candidate node they re-enumerate every child for every sub-pattern
-//! and deduplicate assignment sets through `BTreeSet`s of whole `BTreeMap`s.
-//! This module replaces that with a twig-join-style worklist matcher:
+//! The recursive oracle ([`crate::eval::all_matches_reference`]) is
+//! *enumerate-then-merge*: at every candidate node it re-enumerates every
+//! child for every sub-pattern and deduplicates assignment sets by scanning
+//! whole `BTreeMap`s. This module replaces that with a twig-join-style
+//! worklist matcher:
 //!
 //! * a [`TreeIndex`] is built in **one pass** over the tree: per-symbol
 //!   candidate buckets for interned labels, string-keyed buckets for labels
@@ -19,10 +19,11 @@
 //!   count, and child/descendant edges are joined in ascending order of
 //!   their **measured** cardinality (the bottom-up order makes exact
 //!   selectivities free — no estimation error);
-//! * partial assignments are interned in an [`AssignStore`]: every distinct
-//!   assignment gets a dense `u32` id from an `FxHash`-style map, so
-//!   deduplication during merges is a hash-set of `u32`s and repeated merges
-//!   of the same pair hit a memo instead of re-walking two `BTreeMap`s.
+//! * partial assignments are interned in an assignment store: every
+//!   distinct assignment gets a dense `u32` id from an `FxHash`-style map,
+//!   so deduplication during merges is a hash-set of `u32`s and repeated
+//!   merges of the same pair hit a memo instead of re-walking two
+//!   `BTreeMap`s.
 //!
 //! [`QueryPlan`] lifts the same idea to conjunctive tree queries: the
 //! per-pattern relations of a branch share one assignment store and are
@@ -33,9 +34,8 @@
 //! evaluator is differential-tested against it (unit tests below plus the
 //! randomized harness in `tests/pattern_differential.rs`).
 
-use crate::compiled::{match_bindings, CompiledLabelTest, CompiledPattern};
 use crate::eval::{merge_assignments, Assignment};
-use crate::pattern::{LabelTest, TreePattern, Var};
+use crate::pattern::{AttrBinding, LabelTest, Term, TreePattern, Var};
 use crate::query::UnionQuery;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -232,20 +232,13 @@ pub struct TreeIndex {
 impl TreeIndex {
     /// Index `tree` against `dtd`'s symbol table.
     pub fn new(tree: &XmlTree, dtd: &CompiledDtd) -> Self {
-        Self::build(tree, |_, label| dtd.sym(label))
+        Self::build(tree, |label| dtd.sym(label))
     }
 
     /// Index `tree` with no DTD: every label test resolves by string
     /// comparison (the semantics of the reference evaluator).
     pub fn without_dtd(tree: &XmlTree) -> Self {
-        Self::build(tree, |_, _| None)
-    }
-
-    /// Index `tree` from already-interned labels (one pass, no re-interning;
-    /// used by [`crate::compiled::all_matches_compiled`]).
-    pub fn from_interned(tree: &XmlTree, labels: &crate::compiled::InternedLabels) -> Self {
-        let slots = labels.slots();
-        Self::build(tree, |node, _| slots[node.index()])
+        Self::build(tree, |_| None)
     }
 
     /// An index over nothing; pair with [`TreeIndex::rebuild`] (the shape a
@@ -267,22 +260,22 @@ impl TreeIndex {
     /// engine and the serving dispatcher — one `TreeIndex` per worker lives
     /// across all documents the worker processes.
     pub fn rebuild(&mut self, tree: &XmlTree, dtd: &CompiledDtd) {
-        self.fill(tree, |_, label| dtd.sym(label));
+        self.fill(tree, |label| dtd.sym(label));
     }
 
     /// As [`TreeIndex::rebuild`], DTD-less (pairs with plans built by
     /// [`PatternPlan::without_dtd`] / [`QueryPlan::without_dtd`]).
     pub fn rebuild_without_dtd(&mut self, tree: &XmlTree) {
-        self.fill(tree, |_, _| None);
+        self.fill(tree, |_| None);
     }
 
-    fn build(tree: &XmlTree, sym_of: impl Fn(NodeId, &ElementType) -> Option<Sym>) -> Self {
+    fn build(tree: &XmlTree, sym_of: impl Fn(&ElementType) -> Option<Sym>) -> Self {
         let mut index = Self::empty();
         index.fill(tree, sym_of);
         index
     }
 
-    fn fill(&mut self, tree: &XmlTree, sym_of: impl Fn(NodeId, &ElementType) -> Option<Sym>) {
+    fn fill(&mut self, tree: &XmlTree, sym_of: impl Fn(&ElementType) -> Option<Sym>) {
         self.nodes.clear();
         self.nodes.extend(tree.preorder());
         self.labels.clear();
@@ -298,7 +291,7 @@ impl TreeIndex {
         for i in 0..self.nodes.len() {
             let node = self.nodes[i];
             let label = tree.label(node);
-            match sym_of(node, label) {
+            match sym_of(label) {
                 Some(sym) => {
                     self.labels[node.index()] = Some(sym);
                     if self.by_sym.len() <= sym.index() {
@@ -342,7 +335,7 @@ impl TreeIndex {
         &self,
         tree: &XmlTree,
         label: &CompiledLabelTest,
-        bindings: &[crate::pattern::AttrBinding],
+        bindings: &[AttrBinding],
     ) -> &[NodeId] {
         match label {
             CompiledLabelTest::Any => {
@@ -420,6 +413,46 @@ impl EvalScratch {
 // Pattern plans
 // ---------------------------------------------------------------------------
 
+/// A label test resolved against a DTD's symbol table.
+#[derive(Debug, Clone)]
+enum CompiledLabelTest {
+    /// Wildcard `_`: accepts every node.
+    Any,
+    /// A concrete element type, as its dense symbol id.
+    Is(Sym),
+    /// A concrete element type the DTD does not declare (or any element type
+    /// of a DTD-less plan). On a conforming tree this never matches, but
+    /// patterns are also evaluated against unvalidated trees (the paper
+    /// never requires `T ⊨ D` for pattern semantics), so it falls back to
+    /// comparing the node label directly — exactly what the reference
+    /// evaluator does.
+    Uninterned(ElementType),
+}
+
+/// The assignment under which `node` satisfies `bindings` (its attribute
+/// formula minus the label test), or `None` if some bound attribute is
+/// missing, differs from its constant, or breaks a repeated variable.
+fn match_bindings(tree: &XmlTree, node: NodeId, bindings: &[AttrBinding]) -> Option<Assignment> {
+    let mut assignment = Assignment::new();
+    for binding in bindings {
+        let value = tree.attr(node, &binding.attr)?;
+        match &binding.term {
+            Term::Const(expected) => {
+                if value.as_const() != Some(expected.as_str()) {
+                    return None;
+                }
+            }
+            Term::Var(var) => match assignment.get(var) {
+                Some(existing) if existing != value => return None,
+                _ => {
+                    assignment.insert(var.clone(), value.clone());
+                }
+            },
+        }
+    }
+    Some(assignment)
+}
+
 /// One flattened pattern node. `children`/`inner` are indices into the
 /// plan's node vector, which is in postorder — every index is smaller than
 /// its parent's, so evaluating slots `0..len` in order is bottom-up.
@@ -428,7 +461,7 @@ enum PlanNode {
     /// An attribute formula with child sub-patterns.
     Node {
         label: CompiledLabelTest,
-        bindings: Vec<crate::pattern::AttrBinding>,
+        bindings: Vec<AttrBinding>,
         children: Vec<usize>,
     },
     /// `//ϕ` — witnessed by a proper descendant.
@@ -445,61 +478,52 @@ pub struct PatternPlan {
 }
 
 impl PatternPlan {
-    /// Plan `pattern` against `dtd`'s symbol table (labels the DTD does not
-    /// declare keep the string-comparison fallback, exactly like
-    /// [`CompiledPattern::new`]).
+    /// Plan `pattern` against `dtd`'s symbol table. Labels the DTD does not
+    /// declare keep the string-comparison fallback, so the plan still
+    /// matches trees that do not conform to `dtd`.
     pub fn new(pattern: &TreePattern, dtd: &CompiledDtd) -> Self {
-        PatternPlan::from_compiled(&CompiledPattern::new(pattern, dtd))
+        Self::build(pattern, &|label| dtd.sym(label))
     }
 
     /// Plan `pattern` with no DTD: every concrete label test compares label
-    /// strings (pair with [`TreeIndex::without_dtd`]). Resolves every
-    /// element label to the string-fallback test and reuses the one
-    /// flattening in [`Self::from_compiled`].
+    /// strings (pair with [`TreeIndex::without_dtd`]).
     pub fn without_dtd(pattern: &TreePattern) -> Self {
-        fn resolve(pattern: &TreePattern) -> CompiledPattern {
-            match pattern {
-                TreePattern::Node { attr, children } => CompiledPattern::Node {
-                    label: match &attr.label {
-                        LabelTest::Wildcard => CompiledLabelTest::Any,
-                        LabelTest::Element(e) => CompiledLabelTest::Uninterned(e.clone()),
-                    },
-                    bindings: attr.bindings.clone(),
-                    children: children.iter().map(resolve).collect(),
-                },
-                TreePattern::Descendant(inner) => {
-                    CompiledPattern::Descendant(Box::new(resolve(inner)))
-                }
-            }
-        }
-        PatternPlan::from_compiled(&resolve(pattern))
+        Self::build(pattern, &|_| None)
     }
 
-    /// Plan an already label-resolved [`CompiledPattern`].
-    pub fn from_compiled(pattern: &CompiledPattern) -> Self {
-        let mut nodes = Vec::new();
-        fn flatten(pattern: &CompiledPattern, nodes: &mut Vec<PlanNode>) -> usize {
+    /// Flatten `pattern` into postorder, resolving each element label
+    /// through `sym_of` (`None` keeps the string-comparison fallback).
+    fn build(pattern: &TreePattern, sym_of: &dyn Fn(&ElementType) -> Option<Sym>) -> Self {
+        fn flatten(
+            pattern: &TreePattern,
+            sym_of: &dyn Fn(&ElementType) -> Option<Sym>,
+            nodes: &mut Vec<PlanNode>,
+        ) -> usize {
             match pattern {
-                CompiledPattern::Node {
-                    label,
-                    bindings,
-                    children,
-                } => {
-                    let children = children.iter().map(|c| flatten(c, nodes)).collect();
+                TreePattern::Node { attr, children } => {
+                    let children = children.iter().map(|c| flatten(c, sym_of, nodes)).collect();
+                    let label = match &attr.label {
+                        LabelTest::Wildcard => CompiledLabelTest::Any,
+                        LabelTest::Element(e) => match sym_of(e) {
+                            Some(sym) => CompiledLabelTest::Is(sym),
+                            None => CompiledLabelTest::Uninterned(e.clone()),
+                        },
+                    };
                     nodes.push(PlanNode::Node {
-                        label: label.clone(),
-                        bindings: bindings.clone(),
+                        label,
+                        bindings: attr.bindings.clone(),
                         children,
                     });
                 }
-                CompiledPattern::Descendant(inner) => {
-                    let inner = flatten(inner, nodes);
+                TreePattern::Descendant(inner) => {
+                    let inner = flatten(inner, sym_of, nodes);
                     nodes.push(PlanNode::Descendant { inner });
                 }
             }
             nodes.len() - 1
         }
-        flatten(pattern, &mut nodes);
+        let mut nodes = Vec::new();
+        flatten(pattern, sym_of, &mut nodes);
         PatternPlan { nodes }
     }
 
@@ -613,7 +637,7 @@ impl PatternPlan {
         index: &TreeIndex,
         store: &mut AssignStore,
         label: &CompiledLabelTest,
-        bindings: &[crate::pattern::AttrBinding],
+        bindings: &[AttrBinding],
         children: &[usize],
         results: &[Matches],
     ) -> Matches {
@@ -955,6 +979,8 @@ mod tests {
             "//_[_(@name=$n)]",
             "//book[//author(@aff=$a)]",
             "db[book[author(@name=$x)], book(@title=$t)[author(@name=$x)]]",
+            // An undeclared label never matches the conforming tree.
+            "journal(@title=$x)",
         ] {
             assert_planned_matches_reference(&t, src);
         }

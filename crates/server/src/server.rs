@@ -22,7 +22,7 @@
 //!   the loop), run the exchange pipeline on the shared [`CompiledSetting`]
 //!   (per-setting caches warm up once for all connections), and serialize
 //!   responses *directly into the connection's write queue* in bounded
-//!   segments ([`ResponseWriter`]): each sealed segment is handed to the
+//!   segments (`ResponseWriter`): each sealed segment is handed to the
 //!   loop as a ready-to-send frame, moved (never re-copied) into a
 //!   per-connection segment queue and flushed with `writev`. Connections
 //!   that negotiated [`wire::FEATURE_CHUNKED_RESPONSES`] receive large
@@ -32,7 +32,7 @@
 //!   other connections' flushes.
 //! * Each of the four **exchange ops** has one handler over a document
 //!   source, shipped documents or a stored one, and every per-document
-//!   result ([`DocAnswer`]) is written by `wire`'s row writers, the ones
+//!   result (`DocAnswer`) is written by `wire`'s row writers, the ones
 //!   [`wire::encode_response`] uses. A `*Stored` op therefore answers with
 //!   its base op's bytes by construction, cached or not.
 //! * The **wake pipe** (a non-blocking Unix socketpair) lets workers and
@@ -568,7 +568,7 @@ fn collect_stats(
             stats.store_cache_hits.load(Ordering::Relaxed),
             stats.store_cache_misses.load(Ordering::Relaxed),
             s.is_degraded() as u64,
-            s.dirty_total() as u64,
+            s.dirty_docs() as u64,
             m.replay_ns,
             m.replayed_records,
             s.len() as u64,

@@ -384,6 +384,10 @@ pub struct DocStore<V = ()> {
     /// across puts, edits *and* deletes, so no version value is ever
     /// reused — see the module docs.
     seq: u64,
+    /// The sequence recorded in the last snapshot: the one loaded at open,
+    /// then the one each successful checkpoint writes. A resident document
+    /// whose version is above it changed since that snapshot.
+    snapshot_seq: u64,
     /// `Some(reason)` once the store has entered sticky degraded read-only
     /// mode (see [`StoreError::Degraded`]); never cleared in-process.
     degraded: Option<String>,
@@ -459,6 +463,7 @@ impl<V> DocStore<V> {
             wal,
             docs,
             seq,
+            snapshot_seq: snapshot.seq,
             degraded: None,
             wal_rollbacks: 0,
             metrics,
@@ -824,6 +829,7 @@ impl<V> DocStore<V> {
                 SnapshotWriteError::SyncFailed(e) => self.degrade("snapshot fsync", e),
             });
         }
+        self.snapshot_seq = self.seq;
         if let Err(e) = self.wal.reset() {
             // The new snapshot is durable, so the stale WAL records would
             // be skipped on replay — but the log's own state is now
@@ -909,10 +915,14 @@ impl<V> DocStore<V> {
         self.wal_rollbacks
     }
 
-    /// Total nodes across every resident document's dirty set — the
-    /// backlog the next round of incremental validations will re-check.
-    pub fn dirty_total(&self) -> usize {
-        self.docs.values().map(|r| r.dirty.len()).sum()
+    /// Resident documents changed since the last snapshot (the last
+    /// checkpoint, or the snapshot loaded at open) — what the next
+    /// checkpoint has to persist beyond the previous one.
+    pub fn dirty_docs(&self) -> usize {
+        self.docs
+            .values()
+            .filter(|r| r.version() > self.snapshot_seq)
+            .count()
     }
 
     /// The store's self-recorded durability/recovery timings.
@@ -1042,6 +1052,46 @@ mod tests {
             "db[book(@title=\"New\")[author(@name=\"P\")]]"
         );
         assert!(s.get(2).is_err());
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn dirty_docs_counts_documents_changed_since_the_last_snapshot() {
+        let dir = fresh_dir("dirty");
+        let mut s = open(&dir);
+        s.put(1, sample()).unwrap();
+        s.put(2, sample()).unwrap();
+        assert_eq!(s.dirty_docs(), 2);
+        s.checkpoint().unwrap();
+        assert_eq!(s.dirty_docs(), 0);
+        // One batch touching three nodes of one document is one document.
+        s.edit(
+            1,
+            0,
+            &[
+                DocEdit::SetAttr {
+                    node: 1,
+                    name: "@title".into(),
+                    value: "New".into(),
+                },
+                DocEdit::SetAttr {
+                    node: 2,
+                    name: "@name".into(),
+                    value: "Q".into(),
+                },
+                DocEdit::InsertChild {
+                    parent: 1,
+                    at: 0,
+                    label: "author".into(),
+                },
+            ],
+        )
+        .unwrap();
+        assert_eq!(s.dirty_docs(), 1);
+        drop(s);
+        // Reopening replays the edit from the WAL over the snapshot.
+        let s = open(&dir);
+        assert_eq!(s.dirty_docs(), 1);
         cleanup(&dir);
     }
 

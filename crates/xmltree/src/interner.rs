@@ -1,8 +1,9 @@
 //! Symbol interning: dense `u32` ids for element types and attribute names.
 //!
-//! The reference code paths key everything by [`ElementType`] /
-//! [`AttrName`] — `Arc<str>` newtypes whose comparisons walk string bytes and
-//! whose maps are `BTreeMap`s. The compiled fast path
+//! The reference code paths key everything by
+//! [`ElementType`](crate::ElementType) / [`AttrName`](crate::AttrName) —
+//! `Arc<str>` newtypes whose comparisons walk string bytes and whose maps
+//! are `BTreeMap`s. The compiled fast path
 //! ([`crate::compiled::CompiledDtd`]) instead interns every name occurring in
 //! a DTD into a dense [`Sym`] id, so per-node work indexes flat `Vec`s and
 //! compares `u32`s.
